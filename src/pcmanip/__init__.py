@@ -41,6 +41,7 @@ from .manipulation import (
 from .projection import (
     OrthogonalBasis,
     ProjectionResult,
+    basis_projection,
     gram_schmidt,
     hyperplane_oracle_project,
     project_to_tie,
@@ -79,6 +80,7 @@ __all__ = [
     "ZSet",
     "abs_difference",
     "additive_weights",
+    "basis_projection",
     "emi",
     "frobenius_distance",
     "frobenius_inner",

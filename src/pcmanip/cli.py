@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .core import (
 from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
 from .manipulation import (
     DEFAULT_DELTA,
+    max_changed_entries,
     pair_report,
     scan_all_pairs,
     tip_pair,
@@ -152,6 +153,8 @@ def _check_names(names, n):
         return
     if not isinstance(names, list) or len(names) != n:
         raise CliParseError(f"expected {n} names, got {names!r}")
+    if not all(isinstance(name, str) for name in names):
+        raise CliParseError(f"alternative names must be strings, got {names!r}")
     if len(set(names)) != n:
         raise CliParseError("alternative names must be unique")
 
@@ -210,40 +213,33 @@ def _tolerances(args) -> Tolerances:
     )
 
 
+def _validate(mf: MatrixFile, tol: Tolerances):
+    multiplicative = mf.scale == "multiplicative"
+    return (validate_multiplicative if multiplicative else validate_additive)(mf.matrix, tol)
+
+
 def _load_additive(args, tol: Tolerances) -> tuple[AdditivePcm, MatrixFile]:
     """Parse, validate in the declared scale, and convert to additive."""
     mf = parse_matrix_file(args.file, args.scale, args.names)
-    if mf.scale == "multiplicative":
-        return to_additive(validate_multiplicative(mf.matrix, tol)), mf
-    return validate_additive(mf.matrix, tol), mf
-
-
-def _echo_tolerances(tol: Tolerances) -> dict:
-    return {
-        "reciprocity": tol.reciprocity,
-        "antisymmetry": tol.antisymmetry,
-        "ranking_tie": tol.ranking_tie,
-    }
+    pcm = _validate(mf, tol)
+    return (to_additive(pcm) if mf.scale == "multiplicative" else pcm), mf
 
 
 def cmd_validate(args, out) -> int:
     tol = _tolerances(args)
     mf = parse_matrix_file(args.file, args.scale, args.names)
     try:
-        if mf.scale == "multiplicative":
-            validate_multiplicative(mf.matrix, tol)
-        else:
-            validate_additive(mf.matrix, tol)
+        _validate(mf, tol)
     except PcmError as exc:
         if args.output == "json":
             _emit_json({"valid": False, "scale": mf.scale, "error": str(exc),
-                        "tolerances": _echo_tolerances(tol)}, out)
+                        "tolerances": asdict(tol)}, out)
         else:
             print(f"INVALID ({mf.scale}): {exc}", file=out)
         return EXIT_VALIDATION
     if args.output == "json":
         _emit_json({"valid": True, "scale": mf.scale, "n": mf.matrix.shape[0],
-                    "tolerances": _echo_tolerances(tol)}, out)
+                    "tolerances": asdict(tol)}, out)
     else:
         print(f"valid {mf.scale} PCM, n = {mf.matrix.shape[0]}", file=out)
     return EXIT_OK
@@ -252,21 +248,18 @@ def cmd_validate(args, out) -> int:
 def cmd_weights(args, out) -> int:
     tol = _tolerances(args)
     mf = parse_matrix_file(args.file, args.scale, args.names)
+    pcm = _validate(mf, tol)
     if mf.scale == "multiplicative":
-        m = validate_multiplicative(mf.matrix, tol)
-        weights = gmm_weights(m)
-        method = "geometric mean"
+        weights, method = gmm_weights(pcm), "geometric mean"
     else:
-        a = validate_additive(mf.matrix, tol)
-        weights = additive_weights(a)
-        method = "row arithmetic mean"
+        weights, method = additive_weights(pcm), "row arithmetic mean"
     shown = normalize_weights(weights) if args.normalize else weights
     ranking = ranking_of(weights, tol)
     if args.output == "json":
         _emit_json({"scale": mf.scale, "method": method,
                     "weights": shown, "normalized": args.normalize,
                     "ranking": [list(g) for g in ranking.groups],
-                    "tolerances": _echo_tolerances(tol)}, out)
+                    "tolerances": asdict(tol)}, out)
     elif args.output == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["alternative", "weight"])
@@ -281,12 +274,9 @@ def cmd_weights(args, out) -> int:
 def cmd_convert(args, out) -> int:
     tol = _tolerances(args)
     mf = parse_matrix_file(args.file, args.scale, args.names)
-    if mf.scale == "multiplicative":
-        source = validate_multiplicative(mf.matrix, tol)
-        result = to_additive(source).values if args.to == "additive" else mf.matrix
-    else:
-        source = validate_additive(mf.matrix, tol)
-        result = to_multiplicative(source).values if args.to == "multiplicative" else mf.matrix
+    source = _validate(mf, tol)
+    convert = to_additive if mf.scale == "multiplicative" else to_multiplicative
+    result = mf.matrix if args.to == mf.scale else convert(source).values
     if args.output == "json":
         payload = {"scale": args.to, "matrix": result}
         if mf.names:
@@ -327,7 +317,7 @@ def cmd_project(args, out) -> int:
             "distance": result.distance,
             "weights_before": w_before,
             "weights_after": w_after,
-            "tolerances": _echo_tolerances(tol),
+            "tolerances": asdict(tol),
         }, out)
     elif args.output == "csv":
         _emit_csv_matrix(result.projected.values, out)
@@ -365,7 +355,7 @@ def cmd_tip(args, out) -> int:
                 "already_winning": verdict.already_winning,
                 "messages": list(verdict.messages),
             },
-            "tolerances": _echo_tolerances(tol),
+            "tolerances": asdict(tol),
         }, out)
     elif args.output == "csv":
         _emit_csv_matrix(tip.tipped.values, out)
@@ -392,10 +382,10 @@ def cmd_emi(args, out) -> int:
             "emi": report.emi,
             "emi_ratio_scale": float(np.exp(report.emi)),
             "nonzero_count": report.nonzero_count,
-            "max_changed_entries": 4 * a.n - 6,
+            "max_changed_entries": max_changed_entries(a.n),
             "distance": report.distance,
             "abs_diff": report.abs_diff,
-            "tolerances": _echo_tolerances(tol),
+            "tolerances": asdict(tol),
         }, out)
     elif args.output == "csv":
         _emit_csv_matrix(report.abs_diff, out)
@@ -405,7 +395,7 @@ def cmd_emi(args, out) -> int:
         print(f"EMI: {_fmt(report.emi)}  "
               f"(ratio-scale factor e^EMI = {_fmt(np.exp(report.emi))}, derived)",
               file=out)
-        print(f"nonzero entries: {report.nonzero_count} of at most {4 * a.n - 6}",
+        print(f"nonzero entries: {report.nonzero_count} of at most {max_changed_entries(a.n)}",
               file=out)
     return EXIT_OK
 
@@ -420,7 +410,7 @@ def cmd_scan(args, out) -> int:
             "rows": [{"i": r.i, "j": r.j, "emi": r.emi,
                       "distance": r.distance, "f_value": r.f_value}
                      for r in table.rows],
-            "tolerances": _echo_tolerances(tol),
+            "tolerances": asdict(tol),
         }, out)
     elif args.output == "csv":
         writer = csv.writer(out, lineterminator="\n")

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     AntisymmetryViolationError,
     DimensionMismatchError,
+    NonFiniteEntryError,
     NonPositiveEntryError,
     NonPositiveWeightError,
     NotSquareError,
@@ -118,34 +119,33 @@ class Ranking:
         return "(" + ", ".join(parts) + ")"
 
 
+def _raise_first(mask: np.ndarray, error, values: np.ndarray) -> None:
+    """Raise error at the first True entry of mask in row-major order."""
+    hits = np.argwhere(mask)
+    if len(hits):
+        i, j = hits[0]
+        raise error(int(i) + 1, int(j) + 1, values[i, j])
+
+
 def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> MultiplicativePcm:
-    """Check positivity, unit diagonal and reciprocity; never mutates input."""
+    """Check finiteness, positivity, unit diagonal and reciprocity, each
+    scanned row by row; never mutates input."""
     values = _as_square(matrix)
-    n = values.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if values[i, j] <= 0:
-                raise NonPositiveEntryError(i + 1, j + 1, values[i, j])
-    for i in range(n):
-        residual = abs(values[i, i] - 1.0)
-        if residual > tol.reciprocity:
-            raise ReciprocityViolationError(i + 1, i + 1, residual)
-        for j in range(i + 1, n):
-            residual = abs(values[i, j] * values[j, i] - 1.0)
-            if residual > tol.reciprocity:
-                raise ReciprocityViolationError(i + 1, j + 1, residual)
+    _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
+    _raise_first(values <= 0, NonPositiveEntryError, values)
+    residual = np.abs(values * values.T - 1.0)
+    np.fill_diagonal(residual, np.abs(np.diag(values) - 1.0))
+    _raise_first(np.triu(residual > tol.reciprocity), ReciprocityViolationError, residual)
     return MultiplicativePcm(values)
 
 
 def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditivePcm:
-    """Check antisymmetry (which covers the zero diagonal)."""
+    """Check finiteness and antisymmetry (which covers the zero
+    diagonal), each scanned row by row."""
     values = _as_square(matrix)
-    n = values.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            residual = abs(values[i, j] + values[j, i])
-            if residual > tol.antisymmetry:
-                raise AntisymmetryViolationError(i + 1, j + 1, residual)
+    _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
+    residual = np.abs(values + values.T)
+    _raise_first(np.triu(residual > tol.antisymmetry), AntisymmetryViolationError, residual)
     return AdditivePcm(values)
 
 
@@ -157,10 +157,7 @@ def to_additive(m: MultiplicativePcm) -> AdditivePcm:
 def to_multiplicative(a: AdditivePcm) -> MultiplicativePcm:
     """Entry-wise exponential."""
     values = additive_values(a)
-    big = np.abs(values) >= _MAX_EXP
-    if big.any():
-        i, j = np.argwhere(big)[0]
-        raise OverflowDomainError(i + 1, j + 1, values[i, j])
+    _raise_first(np.abs(values) >= _MAX_EXP, OverflowDomainError, values)
     return MultiplicativePcm(np.exp(values))
 
 

@@ -15,28 +15,42 @@ class NotSquareError(PcmError):
         self.shape = shape
 
 
-class NonPositiveEntryError(PcmError):
+class EntryError(PcmError):
+    """One entry, at 1-based (i, j), has a value outside its domain."""
+
+    requirement = "is out of range"
+
     def __init__(self, i, j, value):
-        super().__init__(f"entry ({i},{j}) = {value} must be strictly positive")
+        super().__init__(f"entry ({i},{j}) = {value} {self.requirement}")
         self.i, self.j, self.value = i, j, value
 
 
-class ReciprocityViolationError(PcmError):
+class NonFiniteEntryError(EntryError):
+    requirement = "must be finite"
+
+
+class NonPositiveEntryError(EntryError):
+    requirement = "must be strictly positive"
+
+
+class ResidualError(PcmError):
+    """Entries (i, j) and (j, i), 1-based, break a pairing rule."""
+
+    rule = "a pairing rule"
+
     def __init__(self, i, j, residual):
         super().__init__(
-            f"entries ({i},{j}) and ({j},{i}) violate reciprocity: "
-            f"|m_ij*m_ji - 1| = {residual:.3e}"
+            f"entries ({i},{j}) and ({j},{i}) violate {self.rule} = {residual:.3e}"
         )
         self.i, self.j, self.residual = i, j, residual
 
 
-class AntisymmetryViolationError(PcmError):
-    def __init__(self, i, j, residual):
-        super().__init__(
-            f"entries ({i},{j}) and ({j},{i}) violate antisymmetry: "
-            f"|a_ij + a_ji| = {residual:.3e}"
-        )
-        self.i, self.j, self.residual = i, j, residual
+class ReciprocityViolationError(ResidualError):
+    rule = "reciprocity: |m_ij*m_ji - 1|"
+
+
+class AntisymmetryViolationError(ResidualError):
+    rule = "antisymmetry: |a_ij + a_ji|"
 
 
 class DimensionMismatchError(PcmError):
@@ -51,12 +65,8 @@ class NonPositiveWeightError(PcmError):
         self.k, self.value = k, value
 
 
-class OverflowDomainError(PcmError):
-    def __init__(self, i, j, value):
-        super().__init__(
-            f"entry ({i},{j}) = {value} exceeds the exponent range of float64"
-        )
-        self.i, self.j, self.value = i, j, value
+class OverflowDomainError(EntryError):
+    requirement = "exceeds the exponent range of float64"
 
 
 class ParamOutOfRangeError(PcmError):

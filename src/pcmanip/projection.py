@@ -1,29 +1,26 @@
 """Orthogonal projection of an additive PCM onto a tie space.
 
-Two independent routes are provided:
+The tie space of a pair is the hyperplane of antisymmetric matrices
+orthogonal to the tie normal matrix N, so ``project_to_tie`` uses the
+closed form A - (f/n) * N, with f the pair's row-sum gap, in O(n^2).
 
-* ``project_to_tie`` runs the explicit construction: tie-space basis,
-  un-normalized Gram-Schmidt orthogonalization under the Frobenius
-  inner product, then coefficient expansion;
-* ``hyperplane_oracle_project`` uses the closed form for projecting
-  onto a codimension-1 subspace of the antisymmetric matrices.
-
-They must agree to 1e-9; the test suite additionally checks both
-against a generic equality-constrained least-squares solve.
-
-Pairs with j = n fall outside the basis construction and are handled
-by conjugating with an index transposition (a Frobenius isometry that
-permutes row sums), projecting, and conjugating back.
+``basis_projection`` keeps the paper's construction as the reference:
+tie-space basis, un-normalized Gram-Schmidt under the Frobenius inner
+product, then coefficient expansion.  Pairs with j = n fall outside the
+basis construction and are conjugated with an index transposition (a
+Frobenius isometry that permutes row sums) and back.  The tests hold
+both routes and a constrained least-squares solve to 1e-9 of each other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import AdditivePcm, additive_values, frobenius_distance
+from .core import AdditivePcm, additive_values
 from .errors import DegenerateBasisError, DimensionMismatchError
 from .tiespace import AlternativePair, TieBasis, tie_basis, tie_gap
 
@@ -35,20 +32,21 @@ class OrthogonalBasis:
     """Pairwise Frobenius-orthogonal basis of one tie space.
 
     Elements are kept un-normalized so they match hand-computed
-    fractional forms exactly.  ``flat`` stacks the elements as rows of
-    a (dim, n*n) array for fast inner products.
+    fractional forms exactly.  ``flat`` holds the elements as rows of a
+    (dim, n*n) array for fast inner products; ``matrices`` are (n, n)
+    views of those rows.
     """
 
     pair: AlternativePair
-    matrices: tuple[np.ndarray, ...]
+    flat: np.ndarray
     squared_norms: np.ndarray
 
     @property
-    def flat(self) -> np.ndarray:
-        return np.stack([h.ravel() for h in self.matrices])
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.flat.reshape(-1, self.pair.n, self.pair.n))
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return self.flat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,7 @@ class Relabeling:
         return self.perm == tuple(range(len(self.perm)))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        idx = np.array(self.perm)
-        return values[np.ix_(idx, idx)]
+        return values[np.ix_(self.perm, self.perm)]
 
     def undo(self, values: np.ndarray) -> np.ndarray:
         inv = np.argsort(np.array(self.perm))
@@ -80,15 +77,18 @@ class ProjectionResult:
 
     original: AdditivePcm
     projected: AdditivePcm
-    coefficients: np.ndarray
     distance: float
     pair: AlternativePair
-    relabeling: Relabeling
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Coefficients along the orthogonal tie basis (relabeled frame
+        when j = n), built by the reference route on each access."""
+        return _reference_expansion(self.original.values, self.pair)[0]
 
 
 def gram_schmidt(basis: TieBasis) -> OrthogonalBasis:
     """Classical Gram-Schmidt without normalization, order preserved."""
-    n = basis.pair.n
     dim = len(basis)
     flat = np.stack([b.ravel() for b in basis.matrices])
     ortho = np.zeros_like(flat)
@@ -103,8 +103,7 @@ def gram_schmidt(basis: TieBasis) -> OrthogonalBasis:
             raise DegenerateBasisError(k + 1, sq)
         ortho[k] = v
         sq_norms[k] = sq
-    matrices = tuple(ortho[k].reshape(n, n) for k in range(dim))
-    return OrthogonalBasis(basis.pair, matrices, sq_norms)
+    return OrthogonalBasis(basis.pair, ortho, sq_norms)
 
 
 @lru_cache(maxsize=256)
@@ -139,30 +138,34 @@ def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair,
     return relabeling.apply(values), AlternativePair(new_i, new_j, n), relabeling
 
 
-def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
-    """Closest matrix to A (Frobenius) whose weights tie the given pair."""
-    values = additive_values(a)
+def _reference_expansion(values: np.ndarray, pair: AlternativePair):
+    """Tie-basis coefficients (relabeled when j = n) and their expansion."""
     n = pair.n
-    if values.shape != (n, n):
-        raise DimensionMismatchError(values.shape[0], n)
-    if n == 2:
-        # the tie space is {0}
-        projected = np.zeros_like(values)
-        coefficients = np.zeros(0)
-        relabeling = Relabeling((0, 1))
-        work_pair = pair
-    else:
-        work, work_pair, relabeling = relabel_pair(values, pair)
-        h = orthogonal_basis_for(n, work_pair.i, work_pair.j)
-        coefficients = projection_coefficients(work, h)
-        projected = relabeling.undo((coefficients @ h.flat).reshape(n, n))
+    if n == 2:  # the tie space is {0}
+        return np.zeros(0), np.zeros_like(values)
+    work, work_pair, relabeling = relabel_pair(values, pair)
+    h = orthogonal_basis_for(n, work_pair.i, work_pair.j)
+    coefficients = projection_coefficients(work, h)
+    return coefficients, relabeling.undo((coefficients @ h.flat).reshape(n, n))
+
+
+def basis_projection(a, pair: AlternativePair) -> np.ndarray:
+    """Reference route: the paper's basis expansion of the projection."""
+    values = additive_values(a)
+    if values.shape != (pair.n, pair.n):
+        raise DimensionMismatchError(values.shape[0], pair.n)
+    return _reference_expansion(values, pair)[1]
+
+
+def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
+    """Closest matrix to A (Frobenius) whose weights tie the given pair.
+    A copy of the input is kept, so later changes to it do not leak in."""
+    original = additive_values(a).copy()
     return ProjectionResult(
-        original=AdditivePcm(values),
-        projected=AdditivePcm(projected),
-        coefficients=coefficients,
-        distance=frobenius_distance(values, projected),
+        original=AdditivePcm(original),
+        projected=hyperplane_oracle_project(original, pair),
+        distance=abs(tie_gap(original, pair)) / math.sqrt(pair.n),
         pair=pair,
-        relabeling=relabeling,
     )
 
 
@@ -172,12 +175,9 @@ def tie_normal_matrix(pair: AlternativePair) -> np.ndarray:
     and columns, zero elsewhere.  Its squared Frobenius norm is n."""
     i, j, n = pair.i - 1, pair.j - 1, pair.n
     normal = np.zeros((n, n))
-    normal[i, :] = 0.5
-    normal[:, i] = -0.5
-    normal[j, :] = -0.5
-    normal[:, j] = 0.5
-    normal[i, j] = 1.0
-    normal[j, i] = -1.0
+    normal[i], normal[j] = 0.5, -0.5
+    normal[:, i], normal[:, j] = -0.5, 0.5
+    normal[i, j], normal[j, i] = 1.0, -1.0
     normal[i, i] = normal[j, j] = 0.0
     return normal
 

@@ -160,9 +160,7 @@ def tie_basis(pair: AlternativePair) -> TieBasis:
 
 def is_tie_equating(a, pair: AlternativePair, tol: float = 1e-9) -> bool:
     """True iff the row sums of alternatives i and j agree within tol*n."""
-    values = additive_values(a)
-    gap = values[pair.i - 1].sum() - values[pair.j - 1].sum()
-    return bool(abs(gap) <= tol * pair.n)
+    return bool(abs(tie_gap(a, pair)) <= tol * pair.n)
 
 
 def tie_gap(a, pair: AlternativePair) -> float:

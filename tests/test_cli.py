@@ -262,3 +262,30 @@ class TestScanCommand:
         code, out = run(["scan", str(path), "--scale", "additive", "--names"])
         assert code == EXIT_OK
         assert "(a,b)" in out
+
+
+class TestRobustInput:
+    @pytest.mark.parametrize("names", ['[[1], [2]]', '[1, 2]', '["a", null]'])
+    def test_non_string_names_are_a_parse_error(self, tmp_path, names):
+        path = tmp_path / "m.json"
+        path.write_text('{"scale": "additive", "matrix": [[0, 1], [-1, 0]], '
+                        f'"names": {names}}}')
+        with pytest.raises(CliParseError, match="must be strings"):
+            parse_matrix_file(str(path))
+        code, out = run(["weights", str(path)])
+        assert (code, out) == (EXIT_PARSE, "")
+
+    @pytest.mark.parametrize("command", ["validate", "weights", "scan"])
+    def test_nan_csv_exits_3(self, tmp_path, command, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1,2,4\n0.5,1,nan\n0.25,nan,1\n")
+        code, out = run([command, str(path)])
+        assert code == EXIT_VALIDATION
+        assert "entry (2,3) = nan must be finite" in out + capsys.readouterr().err
+
+    def test_infinite_additive_json_exits_3(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"scale": "additive", '
+                        '"matrix": [[0, 1, 2], [-1, 0, 1e999], [-2, -1e999, 0]]}')
+        code, _ = run(["scan", str(path), "--output", "json"])
+        assert code == EXIT_VALIDATION

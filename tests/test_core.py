@@ -22,6 +22,7 @@ from pcmanip import (
 from pcmanip.errors import (
     AntisymmetryViolationError,
     DimensionMismatchError,
+    NonFiniteEntryError,
     NonPositiveEntryError,
     NonPositiveWeightError,
     NotSquareError,
@@ -246,3 +247,73 @@ def test_tolerances_must_be_positive():
 def test_ranking_position_of_unknown_alternative():
     with pytest.raises(PcmError):
         Ranking(((1,), (2,))).position(5)
+
+
+def _first_violation_by_loops(values, scale, tol=Tolerances()):
+    """The validators' documented scan order, written as plain loops."""
+    n = values.shape[0]
+    for i in range(n):
+        for j in range(n):
+            if not np.isfinite(values[i, j]):
+                return NonFiniteEntryError, i + 1, j + 1
+    if scale == "multiplicative":
+        for i in range(n):
+            for j in range(n):
+                if values[i, j] <= 0:
+                    return NonPositiveEntryError, i + 1, j + 1
+        for i in range(n):
+            if abs(values[i, i] - 1.0) > tol.reciprocity:
+                return ReciprocityViolationError, i + 1, i + 1
+            for j in range(i + 1, n):
+                if abs(values[i, j] * values[j, i] - 1.0) > tol.reciprocity:
+                    return ReciprocityViolationError, i + 1, j + 1
+        return None
+    for i in range(n):
+        for j in range(i, n):
+            if abs(values[i, j] + values[j, i]) > tol.antisymmetry:
+                return AntisymmetryViolationError, i + 1, j + 1
+    return None
+
+
+class TestFirstViolation:
+    BAD = (np.nan, np.inf, -np.inf, 0.0, -1.0, 3.0, 1.5)
+
+    def _cases(self, rng, count=300):
+        for _ in range(count):
+            n = int(rng.integers(2, 8))
+            a = random_antisymmetric(rng, n, scale=2.0)
+            for scale, values in (("additive", a), ("multiplicative", np.exp(a))):
+                values = values.copy()
+                for _ in range(int(rng.integers(0, 4))):
+                    i, j = rng.integers(0, n, size=2)
+                    values[i, j] = self.BAD[int(rng.integers(len(self.BAD)))]
+                yield scale, values
+
+    def test_location_matches_row_by_row_scan(self, rng):
+        validators = {"additive": validate_additive,
+                      "multiplicative": validate_multiplicative}
+        seen = set()
+        for scale, values in self._cases(rng):
+            expected = _first_violation_by_loops(values, scale)
+            if expected is None:
+                validators[scale](values)
+                continue
+            with pytest.raises(expected[0]) as exc:
+                validators[scale](values)
+            assert (exc.value.i, exc.value.j) == expected[1:]
+            assert type(exc.value.i) is int and type(exc.value.j) is int
+            seen.add(expected[0])
+        assert len(seen) == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_rejected_before_other_checks(self, bad):
+        m = M([[1, -2, 1], [0.5, 1, 1], [1, bad, 1]])
+        with pytest.raises(NonFiniteEntryError) as exc:
+            validate_multiplicative(m)
+        assert (exc.value.i, exc.value.j) == (3, 2)
+        assert isinstance(exc.value, PcmError)
+        a = M([[0, 1, 5], [-1, 0, bad], [2, 0, 0]])
+        with pytest.raises(NonFiniteEntryError) as exc:
+            validate_additive(a)
+        assert (exc.value.i, exc.value.j) == (2, 3)
+        assert "must be finite" in str(exc.value)

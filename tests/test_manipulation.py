@@ -278,3 +278,20 @@ class TestPairReport:
         assert report.distance == pytest.approx(
             frobenius_distance(EXAMPLE_A, EXAMPLE_A_PROJECTED), abs=1e-9
         )
+
+
+def test_scan_orders_equal_gaps_by_pair():
+    # consistent matrix with weights 0, 1, 2, 3: the gaps of (1,2),
+    # (2,3) and (3,4) are equal exactly, and so are those of (1,3) and (2,4)
+    w = np.arange(4.0)
+    table = scan_all_pairs(w[:, None] - w[None, :])
+    assert [(r.i, r.j) for r in table.rows] == [
+        (1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4),
+    ]
+    assert all(type(r.i) is int and type(r.emi) is float for r in table.rows)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3,)])
+def test_scan_rejects_non_square_input(shape):
+    with pytest.raises(PcmError):
+        scan_all_pairs(np.zeros(shape))

@@ -281,3 +281,30 @@ class TestRelabelPair:
                 via_basis = project_to_tie(a, pair).projected.values
                 via_oracle = hyperplane_oracle_project(a, pair).values
                 assert np.allclose(via_basis, via_oracle, atol=1e-9)
+
+
+class TestResultIndependence:
+    def test_result_does_not_alias_the_input(self, rng):
+        a = random_antisymmetric(rng, 6)
+        pair = AlternativePair(2, 6, 6)
+        result = project_to_tie(a, pair)
+        assert result.original.values is not a
+        before = (a.copy(), result.projected.values.copy(), result.distance)
+        a[1, 3] += 100.0
+        a[3, 1] -= 100.0
+        assert np.array_equal(result.original.values, before[0])
+        assert np.array_equal(result.projected.values, before[1])
+        assert result.distance == before[2]
+        assert np.allclose(result.coefficients,
+                           project_to_tie(before[0], pair).coefficients, atol=0)
+
+
+class TestOrthogonalBasisStorage:
+    def test_flat_is_stored_once(self):
+        h = gram_schmidt(tie_basis(EXAMPLE_PAIR))
+        assert h.flat is h.flat
+        assert h.flat.shape == (9, 25)
+        for k, m in enumerate(h.matrices):
+            assert m.shape == (5, 5)
+            assert np.shares_memory(m, h.flat)
+            assert np.array_equal(m.ravel(), h.flat[k])
