@@ -4,6 +4,9 @@ Subcommands: validate, weights, convert, project, tip, emi, scan.
 Matrices are read from a CSV or JSON file (or stdin with "-"); all
 indices on the command line and in reports are 1-based.
 
+Each command loads its input through one prelude (``_load``) and describes
+its report once; one renderer (``_render``) prints it as text, JSON or CSV.
+
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 bad
 arguments.
 """
@@ -30,7 +33,7 @@ from .core import (
     validate_additive,
     validate_multiplicative,
 )
-from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
+from .errors import PcmError
 from .manipulation import (
     DEFAULT_DELTA,
     max_changed_entries,
@@ -61,12 +64,6 @@ class CliParseError(Exception):
         self.line, self.column = line, column
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 @dataclass
 class MatrixFile:
     scale: str
@@ -75,12 +72,12 @@ class MatrixFile:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -102,6 +99,8 @@ def _parse_json(text: str, default_scale: str) -> MatrixFile:
     except json.JSONDecodeError as exc:
         raise CliParseError(f"invalid JSON: {exc.msg}", line=exc.lineno,
                             column=exc.colno) from exc
+    except RecursionError as exc:
+        raise CliParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict) or "matrix" not in data:
         raise CliParseError('JSON input must be an object with a "matrix" key')
     scale = data.get("scale", default_scale)
@@ -111,7 +110,7 @@ def _parse_json(text: str, default_scale: str) -> MatrixFile:
     names = data.get("names")
     try:
         values = np.array(matrix, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliParseError(f"matrix is not numeric: {exc}") from exc
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise CliParseError(f"matrix must be square, got shape {values.shape}")
@@ -160,57 +159,19 @@ def _check_names(names, n):
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# the shared prelude
 
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
-
-
-def _text_matrix(values: np.ndarray) -> str:
-    cells = [[_fmt(v) for v in row] for row in values]
-    width = max(len(c) for row in cells for c in row)
-    return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
+class UsageError(Exception):
+    """Arguments are syntactically valid but unusable for this input."""
 
 
-def _text_vector(values) -> str:
-    return "(" + ", ".join(_fmt(v) for v in values) + ")"
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def _emit_json(payload, out):
-    print(json.dumps(_jsonable(payload), indent=2), file=out)
-
-
-def _emit_csv_matrix(values: np.ndarray, out):
-    writer = csv.writer(out, lineterminator="\n")
-    for row in values:
-        writer.writerow([repr(float(v)) for v in row])
-
-
-def _label(names, k: int) -> str:
-    return names[k - 1] if names else str(k)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        reciprocity=args.tol_reciprocity,
-        antisymmetry=args.tol_antisymmetry,
-        ranking_tie=args.tol_tie,
-    )
+def _from_args(make, *params):
+    """make(*params) for values taken from the command line, where a
+    PcmError is a usage error."""
+    try:
+        return make(*params)
+    except PcmError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _validate(mf: MatrixFile, tol: Tolerances):
@@ -218,223 +179,203 @@ def _validate(mf: MatrixFile, tol: Tolerances):
     return (validate_multiplicative if multiplicative else validate_additive)(mf.matrix, tol)
 
 
-def _load_additive(args, tol: Tolerances) -> tuple[AdditivePcm, MatrixFile]:
-    """Parse, validate in the declared scale, and convert to additive."""
-    mf = parse_matrix_file(args.file, args.scale, args.names)
-    pcm = _validate(mf, tol)
-    return (to_additive(pcm) if mf.scale == "multiplicative" else pcm), mf
+def _read_input(args) -> tuple[Tolerances, MatrixFile]:
+    """The first half of the prelude, all that validate needs."""
+    tol = _from_args(Tolerances, args.tol_reciprocity, args.tol_antisymmetry, args.tol_tie)
+    return tol, parse_matrix_file(args.file, args.scale, args.names)
 
+
+@dataclass
+class Loaded:
+    """A command's input: tolerances, the file, its matrix validated in
+    the file's scale (pcm) and in additive form (a), and the pair."""
+
+    tol: Tolerances
+    file: MatrixFile
+    pcm: object
+    a: AdditivePcm
+    pair: AlternativePair | None
+
+    def label(self, k: int) -> str:
+        return self.file.names[k - 1] if self.file.names else str(k)
+
+
+def _load(args) -> Loaded:
+    """The whole prelude, shared by every command but validate."""
+    tol, mf = _read_input(args)
+    pcm = _validate(mf, tol)
+    a = to_additive(pcm) if mf.scale == "multiplicative" else pcm
+    pair = _from_args(AlternativePair, *args.pair, a.n) if "pair" in args else None
+    return Loaded(tol, mf, pcm, a, pair)
+
+
+# ---------------------------------------------------------------------------
+# the renderer
+
+def _text_matrix(values: np.ndarray) -> str:
+    cells = [[f"{v:.4f}" for v in row] for row in values]
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
+
+
+def _text_vector(values) -> str:
+    return "(" + ", ".join(f"{v:.4f}" for v in values) + ")"
+
+
+def _jsonable(obj):
+    """json.dumps hook for numpy arrays and scalars."""
+    return obj.tolist()
+
+
+def _render(args, out, payload, lines, rows=None, code=EXIT_OK) -> int:
+    """Print one report in the format args.output names; return code.
+
+    Each part is a zero-argument callable and only the chosen one runs,
+    so project's CSV never builds the basis its coefficients need.  A
+    report without CSV rows prints its text lines instead.
+    """
+    if args.output == "json":
+        print(json.dumps(payload(), indent=2, default=_jsonable), file=out)
+    elif args.output == "csv" and rows is not None:
+        csv.writer(out, lineterminator="\n").writerows(rows())
+    else:
+        print("\n".join(lines()), file=out)
+    return code
+
+
+# ---------------------------------------------------------------------------
+# subcommands
 
 def cmd_validate(args, out) -> int:
-    tol = _tolerances(args)
-    mf = parse_matrix_file(args.file, args.scale, args.names)
+    tol, mf = _read_input(args)
     try:
         _validate(mf, tol)
     except PcmError as exc:
-        if args.output == "json":
-            _emit_json({"valid": False, "scale": mf.scale, "error": str(exc),
-                        "tolerances": asdict(tol)}, out)
-        else:
-            print(f"INVALID ({mf.scale}): {exc}", file=out)
-        return EXIT_VALIDATION
-    if args.output == "json":
-        _emit_json({"valid": True, "scale": mf.scale, "n": mf.matrix.shape[0],
-                    "tolerances": asdict(tol)}, out)
-    else:
-        print(f"valid {mf.scale} PCM, n = {mf.matrix.shape[0]}", file=out)
-    return EXIT_OK
+        return _render(args, out, code=EXIT_VALIDATION,
+                       payload=lambda: dict(valid=False, scale=mf.scale, error=str(exc),
+                                            tolerances=asdict(tol)),
+                       lines=lambda: [f"INVALID ({mf.scale}): {exc}"])
+    n = mf.matrix.shape[0]
+    return _render(args, out,
+                   payload=lambda: dict(valid=True, scale=mf.scale, n=n, tolerances=asdict(tol)),
+                   lines=lambda: [f"valid {mf.scale} PCM, n = {n}"])
 
 
 def cmd_weights(args, out) -> int:
-    tol = _tolerances(args)
-    mf = parse_matrix_file(args.file, args.scale, args.names)
-    pcm = _validate(mf, tol)
-    if mf.scale == "multiplicative":
-        weights, method = gmm_weights(pcm), "geometric mean"
+    x = _load(args)
+    if x.file.scale == "multiplicative":
+        weights, method = gmm_weights(x.pcm), "geometric mean"
     else:
-        weights, method = additive_weights(pcm), "row arithmetic mean"
+        weights, method = additive_weights(x.pcm), "row arithmetic mean"
     shown = normalize_weights(weights) if args.normalize else weights
-    ranking = ranking_of(weights, tol)
-    if args.output == "json":
-        _emit_json({"scale": mf.scale, "method": method,
-                    "weights": shown, "normalized": args.normalize,
-                    "ranking": [list(g) for g in ranking.groups],
-                    "tolerances": asdict(tol)}, out)
-    elif args.output == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["alternative", "weight"])
-        for k, w in enumerate(shown, start=1):
-            writer.writerow([_label(mf.names, k), repr(float(w))])
-    else:
-        print(f"weights ({method}): {_text_vector(shown)}", file=out)
-        print(f"ranking: {ranking}", file=out)
-    return EXIT_OK
+    ranking = ranking_of(weights, x.tol)
+    return _render(args, out,
+                   payload=lambda: dict(scale=x.file.scale, method=method, weights=shown,
+                                        normalized=args.normalize, ranking=ranking.groups,
+                                        tolerances=asdict(x.tol)),
+                   lines=lambda: [f"weights ({method}): {_text_vector(shown)}",
+                                  f"ranking: {ranking}"],
+                   rows=lambda: [("alternative", "weight"),
+                                 *((x.label(k), w) for k, w in enumerate(shown.tolist(), 1))])
 
 
 def cmd_convert(args, out) -> int:
-    tol = _tolerances(args)
-    mf = parse_matrix_file(args.file, args.scale, args.names)
-    source = _validate(mf, tol)
-    convert = to_additive if mf.scale == "multiplicative" else to_multiplicative
-    result = mf.matrix if args.to == mf.scale else convert(source).values
-    if args.output == "json":
-        payload = {"scale": args.to, "matrix": result}
-        if mf.names:
-            payload["names"] = mf.names
-        _emit_json(payload, out)
-    elif args.output == "csv":
-        _emit_csv_matrix(result, out)
+    x = _load(args)
+    if args.to == x.file.scale:
+        result = x.file.matrix
     else:
-        print(_text_matrix(result), file=out)
-    return EXIT_OK
-
-
-class UsageError(Exception):
-    """Arguments are syntactically valid but unusable for this input."""
-
-
-def _pair_from_args(args, n: int) -> AlternativePair:
-    i, j = args.pair
-    try:
-        return AlternativePair(i, j, n)
-    except PcmError as exc:
-        raise UsageError(str(exc)) from exc
+        result = (x.a if args.to == "additive" else to_multiplicative(x.a)).values
+    names = {"names": x.file.names} if x.file.names else {}
+    return _render(args, out,
+                   payload=lambda: dict(scale=args.to, matrix=result, **names),
+                   lines=lambda: [_text_matrix(result)],
+                   rows=result.tolist)
 
 
 def cmd_project(args, out) -> int:
-    tol = _tolerances(args)
-    a, mf = _load_additive(args, tol)
-    pair = _pair_from_args(args, a.n)
-    result = project_to_tie(a, pair)
-    w_before = additive_weights(result.original)
-    w_after = additive_weights(result.projected)
-    if args.output == "json":
-        _emit_json({
-            "pair": [pair.i, pair.j],
-            "scale": "additive",
-            "matrix": result.projected.values,
-            "coefficients": result.coefficients,
-            "distance": result.distance,
-            "weights_before": w_before,
-            "weights_after": w_after,
-            "tolerances": asdict(tol),
-        }, out)
-    elif args.output == "csv":
-        _emit_csv_matrix(result.projected.values, out)
-    else:
-        print(f"projection equating {_label(mf.names, pair.i)} and "
-              f"{_label(mf.names, pair.j)} (additive scale):", file=out)
-        print(_text_matrix(result.projected.values), file=out)
-        print(f"coefficients: {_text_vector(result.coefficients)}", file=out)
-        print(f"distance: {_fmt(result.distance)}", file=out)
-        print(f"weights before: {_text_vector(w_before)}", file=out)
-        print(f"weights after:  {_text_vector(w_after)}", file=out)
-    return EXIT_OK
+    x = _load(args)
+    pair, result = x.pair, project_to_tie(x.a, x.pair)
+    w_before, w_after = additive_weights(result.original), additive_weights(result.projected)
+    matrix = result.projected.values
+    return _render(args, out,
+                   payload=lambda: dict(pair=[pair.i, pair.j], scale="additive", matrix=matrix,
+                                        coefficients=result.coefficients,
+                                        distance=result.distance, weights_before=w_before,
+                                        weights_after=w_after, tolerances=asdict(x.tol)),
+                   lines=lambda: [f"projection equating {x.label(pair.i)} and "
+                                  f"{x.label(pair.j)} (additive scale):",
+                                  _text_matrix(matrix),
+                                  f"coefficients: {_text_vector(result.coefficients)}",
+                                  f"distance: {result.distance:.4f}",
+                                  f"weights before: {_text_vector(w_before)}",
+                                  f"weights after:  {_text_vector(w_after)}"],
+                   rows=matrix.tolist)
 
 
 def cmd_tip(args, out) -> int:
-    tol = _tolerances(args)
-    a, mf = _load_additive(args, tol)
-    pair = _pair_from_args(args, a.n)
-    result = project_to_tie(a, pair)
-    tip = tip_pair(result, args.winner, args.delta)
-    verdict = verify_manipulation(a, tip.tipped, pair, args.winner, tol)
-    if args.output == "json":
-        _emit_json({
-            "pair": [pair.i, pair.j],
-            "winner": tip.winner,
-            "delta": tip.delta,
-            "scale": "additive",
-            "matrix": tip.tipped.values,
-            "extra_distance": tip.extra_distance,
-            "total_distance": tip.total_distance,
-            "verdict": {
-                "passed": verdict.passed,
-                "winner_leads": verdict.winner_leads,
-                "others_preserved": verdict.others_preserved,
-                "already_winning": verdict.already_winning,
-                "messages": list(verdict.messages),
-            },
-            "tolerances": asdict(tol),
-        }, out)
-    elif args.output == "csv":
-        _emit_csv_matrix(tip.tipped.values, out)
-    else:
-        print(f"tipped matrix, {_label(mf.names, tip.winner)} wins "
-              f"(delta = {tip.delta:g}, additive scale):", file=out)
-        print(_text_matrix(tip.tipped.values), file=out)
-        print(f"extra distance: {_fmt(tip.extra_distance)}", file=out)
-        print(f"total distance: {_fmt(tip.total_distance)}", file=out)
-        print(f"verdict: {'pass' if verdict.passed else 'FAIL'}", file=out)
-        for msg in verdict.messages:
-            print(f"  note: {msg}", file=out)
-    return EXIT_OK
+    x = _load(args)
+    pair = x.pair
+    tip = _from_args(tip_pair, project_to_tie(x.a, pair), args.winner, args.delta)
+    verdict = verify_manipulation(x.a, tip.tipped, pair, args.winner, x.tol)
+    matrix = tip.tipped.values
+    return _render(args, out,
+                   payload=lambda: dict(pair=[pair.i, pair.j], winner=tip.winner,
+                                        delta=tip.delta, scale="additive", matrix=matrix,
+                                        extra_distance=tip.extra_distance,
+                                        total_distance=tip.total_distance,
+                                        verdict=asdict(verdict), tolerances=asdict(x.tol)),
+                   lines=lambda: [f"tipped matrix, {x.label(tip.winner)} wins "
+                                  f"(delta = {tip.delta:g}, additive scale):",
+                                  _text_matrix(matrix),
+                                  f"extra distance: {tip.extra_distance:.4f}",
+                                  f"total distance: {tip.total_distance:.4f}",
+                                  f"verdict: {'pass' if verdict.passed else 'FAIL'}",
+                                  *(f"  note: {msg}" for msg in verdict.messages)],
+                   rows=matrix.tolist)
 
 
 def cmd_emi(args, out) -> int:
-    tol = _tolerances(args)
-    a, mf = _load_additive(args, tol)
-    pair = _pair_from_args(args, a.n)
-    report = pair_report(a, pair, tol)
-    if args.output == "json":
-        _emit_json({
-            "pair": [pair.i, pair.j],
-            "emi": report.emi,
-            "emi_ratio_scale": float(np.exp(report.emi)),
-            "nonzero_count": report.nonzero_count,
-            "max_changed_entries": max_changed_entries(a.n),
-            "distance": report.distance,
-            "abs_diff": report.abs_diff,
-            "tolerances": asdict(tol),
-        }, out)
-    elif args.output == "csv":
-        _emit_csv_matrix(report.abs_diff, out)
-    else:
-        print("absolute difference |A - A'|:", file=out)
-        print(_text_matrix(report.abs_diff), file=out)
-        print(f"EMI: {_fmt(report.emi)}  "
-              f"(ratio-scale factor e^EMI = {_fmt(np.exp(report.emi))}, derived)",
-              file=out)
-        print(f"nonzero entries: {report.nonzero_count} of at most {max_changed_entries(a.n)}",
-              file=out)
-    return EXIT_OK
+    x = _load(args)
+    pair, report = x.pair, pair_report(x.a, x.pair, x.tol)
+    most = max_changed_entries(x.a.n)
+    return _render(args, out,
+                   payload=lambda: dict(pair=[pair.i, pair.j], emi=report.emi,
+                                        emi_ratio_scale=float(np.exp(report.emi)),
+                                        nonzero_count=report.nonzero_count,
+                                        max_changed_entries=most, distance=report.distance,
+                                        abs_diff=report.abs_diff, tolerances=asdict(x.tol)),
+                   lines=lambda: ["absolute difference |A - A'|:",
+                                  _text_matrix(report.abs_diff),
+                                  f"EMI: {report.emi:.4f}  (ratio-scale factor e^EMI = "
+                                  f"{np.exp(report.emi):.4f}, derived)",
+                                  f"nonzero entries: {report.nonzero_count} of at most {most}"],
+                   rows=report.abs_diff.tolist)
 
 
 def cmd_scan(args, out) -> int:
-    tol = _tolerances(args)
-    a, mf = _load_additive(args, tol)
-    table = scan_all_pairs(a)
-    if args.output == "json":
-        _emit_json({
-            "n": table.n,
-            "rows": [{"i": r.i, "j": r.j, "emi": r.emi,
-                      "distance": r.distance, "f_value": r.f_value}
-                     for r in table.rows],
-            "tolerances": asdict(tol),
-        }, out)
-    elif args.output == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["i", "j", "emi", "distance", "f_value"])
-        for r in table.rows:
-            writer.writerow([r.i, r.j, repr(r.emi), repr(r.distance), repr(r.f_value)])
-    else:
-        print(f"{'pair':>12}  {'EMI':>10}  {'distance':>10}  {'f':>10}", file=out)
-        for r in table.rows:
-            pair = f"({_label(mf.names, r.i)},{_label(mf.names, r.j)})"
-            print(f"{pair:>12}  {_fmt(r.emi):>10}  {_fmt(r.distance):>10}  "
-                  f"{_fmt(r.f_value):>10}", file=out)
-    return EXIT_OK
+    x = _load(args)
+    table = scan_all_pairs(x.a)
+    return _render(args, out,
+                   payload=lambda: dict(n=table.n, rows=[r._asdict() for r in table.rows],
+                                        tolerances=asdict(x.tol)),
+                   lines=lambda: [f"{'pair':>12}  {'EMI':>10}  {'distance':>10}  {'f':>10}",
+                                  *(f"{f'({x.label(r.i)},{x.label(r.j)})':>12}  {r.emi:>10.4f}  "
+                                    f"{r.distance:>10.4f}  {r.f_value:>10.4f}"
+                                    for r in table.rows)],
+                   rows=lambda: [("i", "j", "emi", "distance", "f_value"), *table.rows])
 
 
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pcmanip",
-                     description="Rank-reversal manipulation analysis for "
-                                 "pairwise comparison matrices.")
+    parser = argparse.ArgumentParser(prog="pcmanip",
+                                     description="Rank-reversal manipulation analysis for "
+                                                 "pairwise comparison matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pair=False):
+    def command(name, func, help_text, pair=False):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("file", help="matrix file (CSV or JSON), or - for stdin")
         p.add_argument("--scale", choices=SCALES, default="multiplicative",
                        help="scale of the input matrix (default multiplicative)")
@@ -449,58 +390,37 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pair", nargs=2, type=int, required=True,
                            metavar=("I", "J"),
                            help="1-based indices of the two alternatives")
+        return p
 
-    p = sub.add_parser("validate", help="check the matrix against its scale")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("weights", help="priority vector and ranking")
-    common(p)
-    p.add_argument("--normalize", action="store_true",
-                   help="scale weights to sum to 1 (multiplicative scale only)")
-    p.set_defaults(func=cmd_weights)
-
-    p = sub.add_parser("convert", help="convert between scales")
-    common(p)
-    p.add_argument("--to", choices=SCALES, required=True)
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("project", help="closest matrix tying a pair")
-    common(p, pair=True)
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("tip", help="projection plus the tie-breaking nudge")
-    common(p, pair=True)
+    command("validate", cmd_validate, "check the matrix against its scale")
+    command("weights", cmd_weights, "priority vector and ranking").add_argument(
+        "--normalize", action="store_true",
+        help="scale weights to sum to 1 (multiplicative scale only)")
+    command("convert", cmd_convert, "convert between scales").add_argument(
+        "--to", choices=SCALES, required=True)
+    command("project", cmd_project, "closest matrix tying a pair", pair=True)
+    p = command("tip", cmd_tip, "projection plus the tie-breaking nudge", pair=True)
     p.add_argument("--winner", type=int, required=True,
                    help="1-based index of the alternative that should win")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                    help=f"size of the nudge (default {DEFAULT_DELTA})")
-    p.set_defaults(func=cmd_tip)
-
-    p = sub.add_parser("emi", help="ease of manipulation index for a pair")
-    common(p, pair=True)
-    p.set_defaults(func=cmd_emi)
-
-    p = sub.add_parser("scan", help="EMI table over all pairs")
-    common(p)
-    p.set_defaults(func=cmd_scan)
-
+    command("emi", cmd_emi, "ease of manipulation index for a pair", pair=True)
+    command("scan", cmd_scan, "EMI table over all pairs")
     return parser
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a bad argument
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args, out)
     except CliParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (UsageError, InvalidWinnerError, NonPositiveDeltaError) as exc:
+    except UsageError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PcmError as exc:

@@ -45,8 +45,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("reciprocity", "antisymmetry", "ranking_tie"):
-            if getattr(self, name) <= 0:
-                raise PcmError(f"tolerance {name} must be strictly positive")
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # also false for NaN
+                raise PcmError(f"tolerance {name} must be positive and finite, got {value}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -119,11 +120,13 @@ class Ranking:
         return "(" + ", ".join(parts) + ")"
 
 
-def _raise_first(mask: np.ndarray, error, values: np.ndarray) -> None:
-    """Raise error at the first True entry of mask in row-major order."""
-    hits = np.argwhere(mask)
-    if len(hits):
-        i, j = hits[0]
+def _raise_first(mask: np.ndarray, error, values: np.ndarray, upper: bool = False) -> None:
+    """Raise error at the first True entry of mask in row-major order,
+    searching only the upper triangle when upper is set (for a symmetric
+    mask).  The check for no entry at all comes first: it is the cheap
+    common case."""
+    if mask.any():
+        i, j = np.argwhere(np.triu(mask) if upper else mask)[0]
         raise error(int(i) + 1, int(j) + 1, values[i, j])
 
 
@@ -135,7 +138,7 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
     _raise_first(values <= 0, NonPositiveEntryError, values)
     residual = np.abs(values * values.T - 1.0)
     np.fill_diagonal(residual, np.abs(np.diag(values) - 1.0))
-    _raise_first(np.triu(residual > tol.reciprocity), ReciprocityViolationError, residual)
+    _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual, upper=True)
     return MultiplicativePcm(values)
 
 
@@ -145,7 +148,8 @@ def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditiveP
     values = _as_square(matrix)
     _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
     residual = np.abs(values + values.T)
-    _raise_first(np.triu(residual > tol.antisymmetry), AntisymmetryViolationError, residual)
+    _raise_first(residual > tol.antisymmetry, AntisymmetryViolationError, residual,
+                 upper=True)
     return AdditivePcm(values)
 
 

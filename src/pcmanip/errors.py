@@ -106,5 +106,5 @@ class InvalidWinnerError(PcmError):
 
 class NonPositiveDeltaError(PcmError):
     def __init__(self, delta):
-        super().__init__(f"delta must be > 0, got {delta}")
+        super().__init__(f"delta must be positive and finite, got {delta}")
         self.delta = delta

@@ -24,12 +24,12 @@ from .core import (
     additive_weights,
     frobenius_distance,
     ranking_of,
+    validate_additive,
 )
 from .errors import (
     DimensionMismatchError,
     InvalidWinnerError,
     NonPositiveDeltaError,
-    NotSquareError,
     PcmError,
 )
 from .projection import ProjectionResult, project_to_tie
@@ -120,7 +120,7 @@ def tip_pair(projection: ProjectionResult, winner: int, delta: float = DEFAULT_D
     pair = projection.pair
     if winner not in (pair.i, pair.j):
         raise InvalidWinnerError(winner, pair.i, pair.j)
-    if delta <= 0:
+    if not 0 < delta < np.inf:  # also false for NaN
         raise NonPositiveDeltaError(delta)
     shift = delta if winner == pair.i else -delta
     tipped = projection.projected.values.copy()
@@ -161,12 +161,11 @@ def scan_all_pairs(a) -> PairScanTable:
     |f| (2n - 2) / (n (4n - 6)), where f = s_i - s_j is the gap between
     the pair's row sums, so one pass over the row sums serves all pairs.
     Sorted ascending by EMI with ties broken lexicographically by
-    (i, j), so the result is deterministic.
+    (i, j), so the result is deterministic.  An AdditivePcm is trusted;
+    anything else is validated as one first.
     """
-    values = additive_values(a)
+    values = (a if isinstance(a, AdditivePcm) else validate_additive(a)).values
     n = values.shape[0]
-    if values.shape != (n, n):
-        raise NotSquareError(values.shape)
     if n < 3:
         raise PcmError(f"scan requires n >= 3, got {n}")
     row_sums = values.sum(axis=1)
@@ -183,10 +182,10 @@ def scan_all_pairs(a) -> PairScanTable:
 class ManipulationVerdict:
     """Outcome of checking a claimed manipulation."""
 
+    passed: bool
     winner_leads: bool
     others_preserved: bool
     already_winning: bool
-    passed: bool
     messages: tuple[str, ...]
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AdditivePcm, additive_values
+from .core import AdditivePcm, additive_values, validate_additive
 from .errors import DegenerateBasisError, DimensionMismatchError
 from .tiespace import AlternativePair, TieBasis, tie_basis, tie_gap
 
@@ -159,8 +159,9 @@ def basis_projection(a, pair: AlternativePair) -> np.ndarray:
 
 def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
     """Closest matrix to A (Frobenius) whose weights tie the given pair.
+    An AdditivePcm is trusted; anything else is validated as one first.
     A copy of the input is kept, so later changes to it do not leak in."""
-    original = additive_values(a).copy()
+    original = (a if isinstance(a, AdditivePcm) else validate_additive(a)).values.copy()
     return ProjectionResult(
         original=AdditivePcm(original),
         projected=hyperplane_oracle_project(original, pair),

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import pcmanip.projection
 from pcmanip.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -289,3 +290,85 @@ class TestRobustInput:
                         '"matrix": [[0, 1, 2], [-1, 0, 1e999], [-2, -1e999, 0]]}')
         code, _ = run(["scan", str(path), "--output", "json"])
         assert code == EXIT_VALIDATION
+
+
+class TestUnreadableInput:
+    BAD_UTF8 = b"\xff\xfe1,2\n0.5,1\n"
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.BAD_UTF8)
+        code, out = run(["validate", str(path)])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err.startswith("parse error: cannot read")
+
+    def test_non_utf8_stdin_is_a_parse_error(self, monkeypatch, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(self.BAD_UTF8), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out = run(["validate", "-"])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err.startswith("parse error: cannot read -")
+
+    def test_integer_beyond_float_range_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"matrix": [[1, 1%s], [1, 1]]}' % ("0" * 400))
+        assert run(["validate", str(path)]) == (EXIT_PARSE, "")
+
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run(["validate", str(path)]) == (EXIT_PARSE, "")
+
+
+class TestArgumentValues:
+    @pytest.mark.parametrize("flag", ["--tol-reciprocity", "--tol-antisymmetry", "--tol-tie"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_is_4(self, example_csv, flag, value, capsys):
+        code, out = run(["validate", example_csv, "--scale", "additive", flag, value])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("argument error: tolerance")
+
+    def test_nan_tolerance_does_not_pass_a_non_reciprocal_matrix(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,1\n")
+        assert run(["validate", str(path), "--tol-reciprocity", "nan"])[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_delta_is_4(self, example_csv, value, capsys):
+        code, out = run(["tip", example_csv, "--scale", "additive", "--pair", "2", "3",
+                         "--winner", "3", "--delta", value])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("argument error: delta")
+
+
+class TestLazyCoefficients:
+    """Only project's text and JSON read the coefficients, which the
+    O(n^6) basis route computes; its CSV must not build a basis."""
+
+    ARGS = ["--scale", "additive", "--pair"]
+
+    @pytest.mark.parametrize("pair", [("2", "3"), ("2", "5")])
+    def test_text_and_json_print_one_coefficient_per_basis_element(self, example_csv, pair):
+        n = 5
+        dim = (n * n - n) // 2 - 1
+        code, out = run(["project", example_csv, *self.ARGS, *pair])
+        assert code == EXIT_OK
+        line = next(ln for ln in out.splitlines() if ln.startswith("coefficients:"))
+        assert line.count(",") + 1 == dim
+        code, out = run(["project", example_csv, *self.ARGS, *pair, "--output", "json"])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["coefficients"]) == dim
+
+    def test_csv_builds_no_basis(self, example_csv, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("basis built")
+
+        pcmanip.projection.orthogonal_basis_for.cache_clear()
+        monkeypatch.setattr(pcmanip.projection, "tie_basis", forbidden)
+        monkeypatch.setattr(pcmanip.projection, "gram_schmidt", forbidden)
+        code, out = run(["project", example_csv, *self.ARGS, "2", "3", "--output", "csv"])
+        assert code == EXIT_OK
+        assert np.allclose(np.loadtxt(io.StringIO(out), delimiter=","), EXAMPLE_A_PROJECTED)
+        for output in ("text", "json"):
+            with pytest.raises(RuntimeError, match="basis built"):
+                run(["project", example_csv, *self.ARGS, "2", "3", "--output", output])

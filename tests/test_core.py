@@ -244,6 +244,13 @@ def test_tolerances_must_be_positive():
         Tolerances(ranking_tie=-1e-9)
 
 
+@pytest.mark.parametrize("field", ["reciprocity", "antisymmetry", "ranking_tie"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_tolerances_must_be_finite(field, value):
+    with pytest.raises(PcmError, match="positive and finite"):
+        Tolerances(**{field: value})
+
+
 def test_ranking_position_of_unknown_alternative():
     with pytest.raises(PcmError):
         Ranking(((1,), (2,))).position(5)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import pcmanip.manipulation
+import pcmanip.projection
 from pcmanip import (
+    AdditivePcm,
     AlternativePair,
     abs_difference,
     additive_weights,
@@ -16,6 +19,7 @@ from pcmanip import (
     verify_manipulation,
 )
 from pcmanip.errors import (
+    AntisymmetryViolationError,
     DimensionMismatchError,
     InvalidWinnerError,
     NonPositiveDeltaError,
@@ -295,3 +299,30 @@ def test_scan_orders_equal_gaps_by_pair():
 def test_scan_rejects_non_square_input(shape):
     with pytest.raises(PcmError):
         scan_all_pairs(np.zeros(shape))
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_non_finite_delta_is_rejected(delta):
+    result = project_to_tie(EXAMPLE_A, EXAMPLE_PAIR)
+    with pytest.raises(NonPositiveDeltaError):
+        tip_pair(result, winner=2, delta=delta)
+
+
+def test_non_antisymmetric_array_is_rejected():
+    a = np.arange(16.0).reshape(4, 4)
+    pair = AlternativePair(1, 2, 4)
+    for call in (lambda: scan_all_pairs(a), lambda: pair_report(a, pair),
+                 lambda: project_to_tie(a, pair)):
+        with pytest.raises(AntisymmetryViolationError):
+            call()
+
+
+def test_additive_pcm_is_trusted(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an AdditivePcm was validated again")
+
+    for module in (pcmanip.manipulation, pcmanip.projection):
+        monkeypatch.setattr(module, "validate_additive", forbidden)
+    a = AdditivePcm(EXAMPLE_A)
+    assert project_to_tie(a, EXAMPLE_PAIR).distance == pytest.approx(15 / np.sqrt(5))
+    assert len(scan_all_pairs(a).rows) == 10
