@@ -83,10 +83,27 @@ class AdditivePcm:
 
 
 def additive_values(a) -> np.ndarray:
-    """Accept an AdditivePcm, MultiplicativePcm-free ndarray, or nested list."""
+    """The entries of an AdditivePcm, or an array-like read as additive
+    values; a MultiplicativePcm must be converted with to_additive first."""
     if isinstance(a, AdditivePcm):
         return a.values
     return np.asarray(a, dtype=float)
+
+
+def pair_values(a, pair) -> np.ndarray:
+    """additive_values(a), which must be pair.n x pair.n."""
+    values = additive_values(a)
+    if values.shape != (pair.n, pair.n):
+        raise DimensionMismatchError(values.shape[0], pair.n)
+    return values
+
+
+def matched_values(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """additive_values of two matrices, which must have the same shape."""
+    va, vb = additive_values(a), additive_values(b)
+    if va.shape != vb.shape:
+        raise DimensionMismatchError(va.shape[0], vb.shape[0])
+    return va, vb
 
 
 @dataclass(frozen=True)
@@ -203,9 +220,7 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
 
 def frobenius_inner(a, b) -> float:
     """Entry-wise product sum of two equally sized matrices."""
-    va, vb = additive_values(a), additive_values(b)
-    if va.shape != vb.shape:
-        raise DimensionMismatchError(va.shape[0], vb.shape[0])
+    va, vb = matched_values(a, b)
     return float(np.sum(va * vb))
 
 
@@ -214,7 +229,5 @@ def frobenius_norm(a) -> float:
 
 
 def frobenius_distance(a, b) -> float:
-    va, vb = additive_values(a), additive_values(b)
-    if va.shape != vb.shape:
-        raise DimensionMismatchError(va.shape[0], vb.shape[0])
+    va, vb = matched_values(a, b)
     return float(np.linalg.norm(va - vb))

@@ -20,18 +20,14 @@ from .core import (
     DEFAULT_TOLERANCES,
     Ranking,
     Tolerances,
-    additive_values,
     additive_weights,
     frobenius_distance,
+    matched_values,
+    pair_values,
     ranking_of,
     validate_additive,
 )
-from .errors import (
-    DimensionMismatchError,
-    InvalidWinnerError,
-    NonPositiveDeltaError,
-    PcmError,
-)
+from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
 from .projection import ProjectionResult, project_to_tie
 from .tiespace import AlternativePair
 
@@ -40,9 +36,7 @@ DEFAULT_DELTA = 1e-3
 
 def abs_difference(a, b) -> np.ndarray:
     """Entry-wise absolute difference |A - B|."""
-    va, vb = additive_values(a), additive_values(b)
-    if va.shape != vb.shape:
-        raise DimensionMismatchError(va.shape[0], vb.shape[0])
+    va, vb = matched_values(a, b)
     return np.abs(va - vb)
 
 
@@ -206,8 +200,8 @@ def verify_manipulation(
     if winner not in (pair.i, pair.j):
         raise InvalidWinnerError(winner, pair.i, pair.j)
     loser = pair.j if winner == pair.i else pair.i
-    w_orig = additive_weights(original)
-    w_tip = additive_weights(tipped)
+    w_orig = additive_weights(pair_values(original, pair))
+    w_tip = additive_weights(pair_values(tipped, pair))
     messages = []
 
     gap = float(w_tip[winner - 1] - w_tip[loser - 1])

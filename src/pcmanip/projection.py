@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AdditivePcm, additive_values, validate_additive
-from .errors import DegenerateBasisError, DimensionMismatchError
+from .core import AdditivePcm, pair_values, validate_additive
+from .errors import DegenerateBasisError
 from .tiespace import AlternativePair, TieBasis, tie_basis, tie_gap
 
 _MIN_SQ_NORM = 1e-12
@@ -114,10 +114,7 @@ def orthogonal_basis_for(n: int, i: int, j: int) -> OrthogonalBasis:
 
 def projection_coefficients(a, h: OrthogonalBasis) -> np.ndarray:
     """Expansion coefficients <A,H_k> / <H_k,H_k> along the orthogonal basis."""
-    values = additive_values(a)
-    if values.shape != (h.pair.n, h.pair.n):
-        raise DimensionMismatchError(values.shape[0], h.pair.n)
-    return h.flat @ values.ravel() / h.squared_norms
+    return h.flat @ pair_values(a, h.pair).ravel() / h.squared_norms
 
 
 def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair, Relabeling]:
@@ -126,7 +123,7 @@ def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair,
     When j = n, index n is swapped with the largest index below n that
     is outside the pair; otherwise the identity is returned.
     """
-    values = additive_values(a)
+    values = pair_values(a, pair)
     n = pair.n
     if pair.j < n:
         return values, pair, Relabeling(tuple(range(n)))
@@ -151,10 +148,7 @@ def _reference_expansion(values: np.ndarray, pair: AlternativePair):
 
 def basis_projection(a, pair: AlternativePair) -> np.ndarray:
     """Reference route: the paper's basis expansion of the projection."""
-    values = additive_values(a)
-    if values.shape != (pair.n, pair.n):
-        raise DimensionMismatchError(values.shape[0], pair.n)
-    return _reference_expansion(values, pair)[1]
+    return _reference_expansion(pair_values(a, pair), pair)[1]
 
 
 def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
@@ -186,8 +180,6 @@ def tie_normal_matrix(pair: AlternativePair) -> np.ndarray:
 def hyperplane_oracle_project(a, pair: AlternativePair) -> AdditivePcm:
     """Closed-form projection: A - (f/n) * N with f the row-sum gap and
     N the tie normal matrix.  Valid for every pair, including j = n."""
-    values = additive_values(a)
-    if values.shape != (pair.n, pair.n):
-        raise DimensionMismatchError(values.shape[0], pair.n)
+    values = pair_values(a, pair)
     f = tie_gap(values, pair)
     return AdditivePcm(values - (f / pair.n) * tie_normal_matrix(pair))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import additive_values
+from .core import pair_values
 from .errors import ParamOutOfRangeError, PairRequiresRelabelingError, PcmError
 
 GeneratorLabel = tuple[str, tuple[int, ...]]
@@ -145,8 +145,6 @@ def tie_basis(pair: AlternativePair) -> TieBasis:
     is (n^2 - n)/2 - 1.  Requires i < j < n.
     """
     i, j, n = pair.i, pair.j, pair.n
-    if j == n:
-        raise PairRequiresRelabelingError(i, j, n)
     labels: list[GeneratorLabel] = []
     labels += [("C", qr) for qr in z_set(pair).pairs]
     labels += [("D", (p,)) for p in range(1, i)]
@@ -165,5 +163,5 @@ def is_tie_equating(a, pair: AlternativePair, tol: float = 1e-9) -> bool:
 
 def tie_gap(a, pair: AlternativePair) -> float:
     """Row-sum difference f = sum_k a_ik - sum_k a_jk (signed)."""
-    values = additive_values(a)
+    values = pair_values(a, pair)
     return float(values[pair.i - 1].sum() - values[pair.j - 1].sum())
