@@ -121,12 +121,10 @@ def _parse_json(text: str, default_scale: str) -> MatrixFile:
 def _parse_csv(text: str, default_scale: str, expect_names: bool) -> MatrixFile:
     rows = []
     names = None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    start = 0
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if expect_names:
-        names = [cell.strip() for cell in lines[0].split(",")]
-        start = 1
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+        names = [cell.strip() for cell in lines.pop(0)[1].split(",")]
+    for lineno, line in lines:
         cells = line.split(",")
         row = []
         for colno, cell in enumerate(cells, start=1):
@@ -138,7 +136,7 @@ def _parse_csv(text: str, default_scale: str, expect_names: bool) -> MatrixFile:
                 ) from exc
         rows.append(row)
     n = len(rows)
-    for lineno, row in enumerate(rows, start=start + 1):
+    for (lineno, _), row in zip(lines, rows):
         if len(row) != n:
             raise CliParseError(
                 f"ragged matrix: expected {n} values, got {len(row)}", line=lineno
@@ -338,16 +336,18 @@ def cmd_emi(args, out) -> int:
     x = _load(args)
     pair, report = x.pair, pair_report(x.a, x.pair, x.tol)
     most = max_changed_entries(x.a.n)
+    with np.errstate(over="ignore"):  # inf is the right factor beyond float64
+        ratio = float(np.exp(report.emi))
     return _render(args, out,
                    payload=lambda: dict(pair=[pair.i, pair.j], emi=report.emi,
-                                        emi_ratio_scale=float(np.exp(report.emi)),
+                                        emi_ratio_scale=ratio,
                                         nonzero_count=report.nonzero_count,
                                         max_changed_entries=most, distance=report.distance,
                                         abs_diff=report.abs_diff, tolerances=asdict(x.tol)),
                    lines=lambda: ["absolute difference |A - A'|:",
                                   _text_matrix(report.abs_diff),
                                   f"EMI: {report.emi:.4f}  (ratio-scale factor e^EMI = "
-                                  f"{np.exp(report.emi):.4f}, derived)",
+                                  f"{ratio:.4f}, derived)",
                                   f"nonzero entries: {report.nonzero_count} of at most {most}"],
                    rows=report.abs_diff.tolist)
 
@@ -355,13 +355,18 @@ def cmd_emi(args, out) -> int:
 def cmd_scan(args, out) -> int:
     x = _load(args)
     table = scan_all_pairs(x.a)
+
+    def lines():  # the pair column widens to the longest label
+        pairs = [f"({x.label(r.i)},{x.label(r.j)})" for r in table.rows]
+        width = max(12, *map(len, pairs))
+        return [f"{'pair':>{width}}  {'EMI':>10}  {'distance':>10}  {'f':>10}",
+                *(f"{p:>{width}}  {r.emi:>10.4f}  {r.distance:>10.4f}  {r.f_value:>10.4f}"
+                  for p, r in zip(pairs, table.rows))]
+
     return _render(args, out,
                    payload=lambda: dict(n=table.n, rows=[r._asdict() for r in table.rows],
                                         tolerances=asdict(x.tol)),
-                   lines=lambda: [f"{'pair':>12}  {'EMI':>10}  {'distance':>10}  {'f':>10}",
-                                  *(f"{f'({x.label(r.i)},{x.label(r.j)})':>12}  {r.emi:>10.4f}  "
-                                    f"{r.distance:>10.4f}  {r.f_value:>10.4f}"
-                                    for r in table.rows)],
+                   lines=lines,
                    rows=lambda: [("i", "j", "emi", "distance", "f_value"), *table.rows])
 
 

@@ -29,6 +29,7 @@ from .errors import (
     OverflowDomainError,
     PcmError,
     ReciprocityViolationError,
+    RowSumOverflowError,
 )
 
 # largest additive entry exp() can map into a finite float64
@@ -94,7 +95,7 @@ def pair_values(a, pair) -> np.ndarray:
     """additive_values(a), which must be pair.n x pair.n."""
     values = additive_values(a)
     if values.shape != (pair.n, pair.n):
-        raise DimensionMismatchError(values.shape[0], pair.n)
+        raise DimensionMismatchError(values.shape, (pair.n, pair.n))
     return values
 
 
@@ -102,7 +103,7 @@ def matched_values(a, b) -> tuple[np.ndarray, np.ndarray]:
     """additive_values of two matrices, which must have the same shape."""
     va, vb = additive_values(a), additive_values(b)
     if va.shape != vb.shape:
-        raise DimensionMismatchError(va.shape[0], vb.shape[0])
+        raise DimensionMismatchError(va.shape, vb.shape)
     return va, vb
 
 
@@ -153,7 +154,8 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
     values = _as_square(matrix)
     _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
     _raise_first(values <= 0, NonPositiveEntryError, values)
-    residual = np.abs(values * values.T - 1.0)
+    with np.errstate(over="ignore"):  # an infinite residual fails the check below
+        residual = np.abs(values * values.T - 1.0)
     np.fill_diagonal(residual, np.abs(np.diag(values) - 1.0))
     _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual, upper=True)
     return MultiplicativePcm(values)
@@ -161,12 +163,20 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
 
 def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditivePcm:
     """Check finiteness and antisymmetry (which covers the zero
-    diagonal), each scanned row by row."""
+    diagonal), each scanned row by row, then that the row sums and the
+    gaps between them, from which every answer is built, are finite."""
     values = _as_square(matrix)
     _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
-    residual = np.abs(values + values.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results fail below
+        residual = np.abs(values + values.T)
+        sums = values.sum(axis=1)
+        spread = sums.max() - sums.min()
     _raise_first(residual > tol.antisymmetry, AntisymmetryViolationError, residual,
                  upper=True)
+    if not spread < np.inf:  # also true for NaN
+        i = np.argmax(np.abs(sums))
+        j = np.argmax(np.abs(values[i]))
+        raise RowSumOverflowError(int(i) + 1, int(j) + 1, values[i, j])
     return AdditivePcm(values)
 
 
@@ -193,11 +203,11 @@ def additive_weights(a) -> np.ndarray:
 
 
 def normalize_weights(w) -> np.ndarray:
-    """Scale a positive weight vector to sum to one."""
+    """Scale a positive, finite weight vector to sum to one."""
     w = np.asarray(w, dtype=float)
-    for k, value in enumerate(w):
-        if value <= 0:
-            raise NonPositiveWeightError(k + 1, value)
+    bad = np.flatnonzero(~((0 < w) & (w < np.inf)))  # NaN fails both
+    if bad.size:
+        raise NonPositiveWeightError(int(bad[0]) + 1, w[bad[0]])
     return w / w.sum()
 
 

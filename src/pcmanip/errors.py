@@ -33,6 +33,10 @@ class NonPositiveEntryError(EntryError):
     requirement = "must be strictly positive"
 
 
+class RowSumOverflowError(EntryError):
+    requirement = "drives the row sums, or the gap between two of them, beyond float64"
+
+
 class ResidualError(PcmError):
     """Entries (i, j) and (j, i), 1-based, break a pairing rule."""
 
@@ -54,14 +58,14 @@ class AntisymmetryViolationError(ResidualError):
 
 
 class DimensionMismatchError(PcmError):
-    def __init__(self, n_a, n_b):
-        super().__init__(f"dimension mismatch: {n_a} vs {n_b}")
-        self.n_a, self.n_b = n_a, n_b
+    def __init__(self, shape_a, shape_b):
+        super().__init__(f"dimension mismatch: {shape_a} vs {shape_b}")
+        self.shape_a, self.shape_b = shape_a, shape_b
 
 
 class NonPositiveWeightError(PcmError):
     def __init__(self, k, value):
-        super().__init__(f"weight {k} = {value} must be strictly positive")
+        super().__init__(f"weight {k} = {value} must be positive and finite")
         self.k, self.value = k, value
 
 

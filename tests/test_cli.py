@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,17 @@ class TestParseMatrixFile:
         with pytest.raises(CliParseError) as exc:
             parse_matrix_file(str(path))
         assert (exc.value.line, exc.value.column) == (2, 1)
+
+    @pytest.mark.parametrize("text, location", [("1,2\n\nx,1\n", (3, 1)),
+                                                ("1,2\n\n3\n", (3, None)),
+                                                ("a,b\n\n0,1\n\n-1\n", (5, None))],
+                             ids=["number", "ragged", "ragged-after-names"])
+    def test_locations_count_blank_lines(self, tmp_path, text, location):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CliParseError) as exc:
+            parse_matrix_file(str(path), expect_names=text.startswith("a"))
+        assert (exc.value.line, exc.value.column) == location
 
     def test_duplicate_names_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -264,6 +276,12 @@ class TestScanCommand:
         assert code == EXIT_OK
         assert "(a,b)" in out
 
+    def test_long_names_keep_the_text_table_aligned(self):
+        named = Path(__file__).parent / "golden" / "inputs" / "named.csv"
+        code, out = run(["scan", str(named), "--scale", "additive", "--names"])
+        assert code == EXIT_OK
+        assert len({len(line) for line in out.splitlines()}) == 1
+
 
 class TestRobustInput:
     @pytest.mark.parametrize("names", ['[[1], [2]]', '[1, 2]', '["a", null]'])
@@ -372,3 +390,55 @@ class TestLazyCoefficients:
         for output in ("text", "json"):
             with pytest.raises(RuntimeError, match="basis built"):
                 run(["project", example_csv, *self.ARGS, "2", "3", "--output", output])
+
+
+class TestExtremeMagnitudes:
+    ROW_SUM_OVERFLOWS = "0,1e308,1e308\n-1e308,0,1e308\n-1e308,-1e308,0\n"
+    GAP_OVERFLOWS = "0,1e308,5e307\n-1e308,0,-5e307\n-5e307,5e307,0\n"
+    COMMANDS = [["validate"], ["weights"], ["convert", "--to", "multiplicative"],
+                ["project", "--pair", "1", "2"], ["tip", "--pair", "1", "2", "--winner", "1"],
+                ["emi", "--pair", "1", "2"], ["scan"]]
+
+    @pytest.mark.parametrize("text", [ROW_SUM_OVERFLOWS, GAP_OVERFLOWS], ids=["row-sum", "gap"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_row_sums_beyond_float64_exit_3(self, tmp_path, text, command, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        code, out = run([command[0], str(path), "--scale", "additive", *command[1:]])
+        assert code == EXIT_VALIDATION
+        assert "entry (1,2) = 1e+308 drives the row sums" in out + capsys.readouterr().err
+
+    def test_convert_at_the_exponent_limit_round_trips(self, tmp_path):
+        a = np.array([[0, 709, -709], [-709, 0, 709], [709, -709, 0]], dtype=float)
+        path = tmp_path / "a.csv"
+        path.write_text("\n".join(",".join(map(str, row)) for row in a) + "\n")
+        code, out = run(["convert", str(path), "--scale", "additive",
+                         "--to", "multiplicative", "--output", "csv"])
+        assert code == EXIT_OK
+        path.write_text(out)
+        assert run(["validate", str(path)])[0] == EXIT_OK
+        code, out = run(["convert", str(path), "--to", "additive", "--output", "csv"])
+        assert code == EXIT_OK
+        assert np.allclose(np.loadtxt(io.StringIO(out), delimiter=","), a, rtol=0, atol=1e-9)
+
+    def test_convert_beyond_the_exponent_limit_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("0,1,-1\n-1,0,710\n1,-710,0\n")
+        code, out = run(["convert", str(path), "--scale", "additive", "--to", "multiplicative"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "entry (2,3) = 710.0 exceeds the exponent range" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+class TestNoNumpyWarnings:
+    def test_overflowing_reciprocity_product(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,1e200\n1e200,1\n")
+        assert run(["validate", str(path)])[0] == EXIT_VALIDATION
+
+    def test_overflowing_ratio_scale_factor(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("0,2000\n-2000,0\n")
+        code, out = run(["emi", str(path), "--scale", "additive", "--pair", "1", "2"])
+        assert code == EXIT_OK
+        assert "e^EMI = inf" in out

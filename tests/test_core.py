@@ -29,6 +29,7 @@ from pcmanip.errors import (
     OverflowDomainError,
     PcmError,
     ReciprocityViolationError,
+    RowSumOverflowError,
 )
 
 from refdata import (
@@ -87,6 +88,15 @@ class TestValidateAdditive:
     def test_nonzero_diagonal_is_rejected(self):
         with pytest.raises(AntisymmetryViolationError):
             validate_additive(M([[0.1, 1], [-1, 0]]))
+
+    @pytest.mark.parametrize("values, location", [
+        ([[0, 1e308, 1e308], [-1e308, 0, 1e308], [-1e308, -1e308, 0]], (1, 2)),
+        ([[0, 5e307, -5e307], [-5e307, 0, -1e308], [5e307, 1e308, 0]], (2, 3)),
+    ], ids=["row-sum", "gap"])
+    def test_row_sums_beyond_float64_are_rejected(self, values, location):
+        with pytest.raises(RowSumOverflowError) as exc:
+            validate_additive(M(values))
+        assert (exc.value.i, exc.value.j) == location
 
 
 class TestConversion:
@@ -170,6 +180,11 @@ class TestWeights:
     def test_normalize_rejects_nonpositive(self):
         with pytest.raises(NonPositiveWeightError):
             normalize_weights([1, 0, 2])
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0]])
+    def test_normalize_rejects_non_finite(self, weights):
+        with pytest.raises(NonPositiveWeightError):
+            normalize_weights(weights)
 
 
 class TestRanking:

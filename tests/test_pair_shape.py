@@ -7,6 +7,7 @@ import pytest
 from pcmanip import (
     AlternativePair,
     basis_projection,
+    frobenius_distance,
     hyperplane_oracle_project,
     is_tie_equating,
     pair_report,
@@ -65,3 +66,10 @@ def test_bystanders_outside_a_small_pair_are_not_ignored():
     assert verdict.winner_leads and not verdict.others_preserved and not verdict.passed
     with pytest.raises(DimensionMismatchError):
         verify_manipulation(a, tipped, AlternativePair(1, 2, 3), 1)
+
+
+def test_the_error_names_both_shapes():
+    with pytest.raises(DimensionMismatchError, match=r"\(\) vs \(3, 3\)"):
+        tie_gap(5.0, AlternativePair(1, 2, 3))
+    with pytest.raises(DimensionMismatchError, match=r"\(4, 5\) vs \(4, 4\)"):
+        frobenius_distance(np.zeros((4, 5)), np.zeros((4, 4)))
