@@ -263,6 +263,8 @@ def cmd_weights(args, out) -> int:
     x = _load(args)
     if x.file.scale == "multiplicative":
         weights, method = gmm_weights(x.pcm), "geometric mean"
+    elif args.normalize:
+        raise UsageError("--normalize needs multiplicative input: additive weights sum to 0")
     else:
         weights, method = additive_weights(x.pcm), "row arithmetic mean"
     shown = normalize_weights(weights) if args.normalize else weights

@@ -15,6 +15,7 @@ every index that crosses an API boundary (pairs, errors, reports) is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,10 +235,21 @@ def frobenius_inner(a, b) -> float:
     return float(np.sum(va * vb))
 
 
+@np.errstate(over="ignore")  # as a decorator it costs half as much as a with block
+def overflow_safe(reduce, *arrays) -> float:
+    """reduce(*arrays) for a reduce that scales with its arguments; only a
+    result that overflows is redone on the arrays scaled exactly by a
+    power of two, so every result that fits in float64 keeps its bits."""
+    result = reduce(*arrays)
+    if math.isinf(result):
+        e = np.frexp(max(np.abs(x).max() for x in arrays))[1]
+        result = np.ldexp(reduce(*(np.ldexp(x, -e) for x in arrays)), e)
+    return float(result)
+
+
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(additive_values(a)))
+    return overflow_safe(np.linalg.norm, additive_values(a))
 
 
 def frobenius_distance(a, b) -> float:
-    va, vb = matched_values(a, b)
-    return float(np.linalg.norm(va - vb))
+    return overflow_safe(lambda x, y: np.linalg.norm(x - y), *matched_values(a, b))

@@ -10,6 +10,7 @@ change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,13 +24,14 @@ from .core import (
     additive_weights,
     frobenius_distance,
     matched_values,
+    overflow_safe,
     pair_values,
     ranking_of,
     validate_additive,
 )
 from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
-from .projection import ProjectionResult, project_to_tie
-from .tiespace import AlternativePair
+from .projection import ProjectionResult, max_changed_entries, project_to_tie, tie_costs
+from .tiespace import AlternativePair, tie_gap
 
 DEFAULT_DELTA = 1e-3
 
@@ -40,19 +42,13 @@ def abs_difference(a, b) -> np.ndarray:
     return np.abs(va - vb)
 
 
-def max_changed_entries(n: int) -> int:
-    """Upper bound on nonzero entries of |A - A'|: both rows and both
-    columns of the pair, minus overlaps."""
-    return 4 * n - 6
-
-
 def emi(a, b) -> float:
-    """Average absolute entry change, normalized by 4n - 6."""
-    diff = abs_difference(a, b)
-    n = diff.shape[0]
+    """Average absolute entry change of any two matrices, normalized by 4n - 6."""
+    va, vb = matched_values(a, b)
+    n = va.shape[0]
     if max_changed_entries(n) <= 0:
         raise PcmError(f"EMI undefined for n = {n}")
-    return float(diff.sum() / max_changed_entries(n))
+    return overflow_safe(lambda x, y: np.abs(x - y).sum() / max_changed_entries(n), va, vb)
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ def pair_report(
         original=projection.original,
         projected=projection.projected,
         abs_diff=diff,
-        emi=emi(projection.original, projection.projected),
+        emi=tie_costs(tie_gap(projection.original, pair), pair.n)[1],
         nonzero_count=int(np.count_nonzero(diff > 1e-12)),
         distance=projection.distance,
         weights_before=weights_before,
@@ -110,22 +106,26 @@ class TipResult:
 def tip_pair(projection: ProjectionResult, winner: int, delta: float = DEFAULT_DELTA) -> TipResult:
     """Shift the (i, j) entry of the projected matrix by +-delta so the
     chosen alternative strictly leads the other by 2*delta/n, leaving
-    every other row untouched."""
+    every other row untouched; a tip beyond float64 is refused."""
     pair = projection.pair
     if winner not in (pair.i, pair.j):
         raise InvalidWinnerError(winner, pair.i, pair.j)
     if not 0 < delta < np.inf:  # also false for NaN
         raise NonPositiveDeltaError(delta)
-    shift = delta if winner == pair.i else -delta
+    i, j = pair.i - 1, pair.j - 1
+    shift = float(delta) if winner == pair.i else -float(delta)
     tipped = projection.projected.values.copy()
-    tipped[pair.i - 1, pair.j - 1] += shift
-    tipped[pair.j - 1, pair.i - 1] -= shift
+    # Python floats overflow to inf without a warning
+    tipped[i, j], tipped[j, i] = float(tipped[i, j]) + shift, float(tipped[j, i]) - shift
+    extra = abs(shift) * math.sqrt(2.0)
+    if not max(extra, abs(sum(tipped[i].tolist())), abs(sum(tipped[j].tolist()))) < math.inf:
+        raise PcmError(f"delta = {delta} takes the tipped matrix beyond float64")
     return TipResult(
         tipped=AdditivePcm(tipped),
         pair=pair,
         winner=winner,
         delta=delta,
-        extra_distance=delta * np.sqrt(2.0),
+        extra_distance=extra,
         total_distance=frobenius_distance(projection.original, tipped),
     )
 
@@ -151,9 +151,9 @@ class PairScanTable:
 def scan_all_pairs(a) -> PairScanTable:
     """Rank every pair's tie projection by EMI.
 
-    The projection of pair (i, j) moves A by |f|/sqrt(n) with EMI
-    |f| (2n - 2) / (n (4n - 6)), where f = s_i - s_j is the gap between
-    the pair's row sums, so one pass over the row sums serves all pairs.
+    Both costs of pair (i, j) follow from f = s_i - s_j, the gap between
+    the pair's row sums (see tie_costs), so one pass over the row sums
+    serves all pairs.
     Sorted ascending by EMI with ties broken lexicographically by
     (i, j), so the result is deterministic.  An AdditivePcm is trusted;
     anything else is validated as one first.
@@ -165,8 +165,7 @@ def scan_all_pairs(a) -> PairScanTable:
     row_sums = values.sum(axis=1)
     i, j = np.triu_indices(n, 1)
     f = row_sums[i] - row_sums[j]
-    emis = np.abs(f) * ((2 * n - 2) / (n * max_changed_entries(n)))
-    distances = np.abs(f) / np.sqrt(n)
+    distances, emis = tie_costs(f, n)
     order = np.lexsort((j, i, emis))
     columns = (i[order] + 1, j[order] + 1, emis[order], distances[order], f[order])
     return PairScanTable(n=n, rows=tuple(map(PairScanRow, *(c.tolist() for c in columns))))
@@ -212,10 +211,9 @@ def verify_manipulation(
             f"(weight gap {gap:.3e})"
         )
 
-    off_pair = [k for k in range(1, pair.n + 1) if k not in (pair.i, pair.j)]
-    drift = max(
-        (abs(float(w_tip[k - 1] - w_orig[k - 1])) for k in off_pair), default=0.0
-    )
+    moved = np.abs(w_tip - w_orig)
+    moved[[pair.i - 1, pair.j - 1]] = 0.0
+    drift = float(moved.max())
     others_preserved = drift <= tol.ranking_tie
     if not others_preserved:
         messages.append(f"non-pair weight changed by {drift:.3e}")

@@ -151,6 +151,19 @@ def basis_projection(a, pair: AlternativePair) -> np.ndarray:
     return _reference_expansion(pair_values(a, pair), pair)[1]
 
 
+def max_changed_entries(n: int) -> int:
+    """Upper bound on nonzero entries of |A - A'|: both rows and both
+    columns of the pair, minus overlaps."""
+    return 4 * n - 6
+
+
+def tie_costs(f, n: int) -> tuple:
+    """Distance |f|/sqrt(n) and EMI |f| (2n - 2) / (n (4n - 6)) of the tie
+    projection A - (f/n) * N, for a row-sum gap f (number or array)."""
+    size = abs(f)
+    return size / math.sqrt(n), size * ((2 * n - 2) / (n * max_changed_entries(n)))
+
+
 def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
     """Closest matrix to A (Frobenius) whose weights tie the given pair.
     An AdditivePcm is trusted; anything else is validated as one first.
@@ -159,7 +172,7 @@ def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
     return ProjectionResult(
         original=AdditivePcm(original),
         projected=hyperplane_oracle_project(original, pair),
-        distance=abs(tie_gap(original, pair)) / math.sqrt(pair.n),
+        distance=tie_costs(tie_gap(original, pair), pair.n)[0],
         pair=pair,
     )
 

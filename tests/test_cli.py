@@ -165,6 +165,14 @@ class TestWeightsCommand:
         assert code == EXIT_OK
         assert "0.8000, 0.2000" in out
 
+    def test_normalizing_additive_weights_is_4(self, example_csv, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text('{"scale": "additive", "matrix": [[0, 1], [-1, 0]]}')
+        for argv in (["weights", example_csv, "--scale", "additive", "--normalize"],
+                     ["weights", str(path), "--normalize"]):
+            assert run(argv) == (EXIT_USAGE, "")
+            assert capsys.readouterr().err.startswith("argument error: --normalize")
+
     def test_csv_output_full_precision(self, example_csv):
         code, out = run(["weights", example_csv, "--scale", "additive",
                          "--output", "csv"])
@@ -357,6 +365,16 @@ class TestArgumentValues:
                          "--winner", "3", "--delta", value])
         assert (code, out) == (EXIT_USAGE, "")
         assert capsys.readouterr().err.startswith("argument error: delta")
+
+    def test_delta_beyond_float64_is_4(self, capsys):
+        example = str(Path(__file__).parent / "golden" / "inputs" / "example.csv")
+        argv = ["tip", example, "--scale", "additive", "--pair", "2", "3", "--winner", "3"]
+        assert run(argv + ["--delta", "1.7e308"]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("argument error: delta = 1.7e+308")
+        code, out = run(argv + ["--delta", "1.2e308"])  # delta * sqrt(2) still fits
+        assert code == EXIT_OK
+        assert "verdict: pass" in out
+        assert capsys.readouterr().err == ""
 
 
 class TestLazyCoefficients:
