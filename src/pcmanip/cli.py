@@ -210,14 +210,18 @@ def _load(args) -> Loaded:
 # ---------------------------------------------------------------------------
 # the renderer
 
+def _num(v) -> str:  # from 1e15 up fixed point would print a digit per power of ten
+    return f"{v:.4f}" if abs(v) < 1e15 else f"{v:.4e}"
+
+
 def _text_matrix(values: np.ndarray) -> str:
-    cells = [[f"{v:.4f}" for v in row] for row in values]
+    cells = [list(map(_num, row)) for row in values]
     width = max(len(c) for row in cells for c in row)
     return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
 
 def _text_vector(values) -> str:
-    return "(" + ", ".join(f"{v:.4f}" for v in values) + ")"
+    return "(" + ", ".join(map(_num, values)) + ")"
 
 
 def _jsonable(obj):
@@ -306,7 +310,7 @@ def cmd_project(args, out) -> int:
                                   f"{x.label(pair.j)} (additive scale):",
                                   _text_matrix(matrix),
                                   f"coefficients: {_text_vector(result.coefficients)}",
-                                  f"distance: {result.distance:.4f}",
+                                  f"distance: {_num(result.distance)}",
                                   f"weights before: {_text_vector(w_before)}",
                                   f"weights after:  {_text_vector(w_after)}"],
                    rows=matrix.tolist)
@@ -327,8 +331,8 @@ def cmd_tip(args, out) -> int:
                    lines=lambda: [f"tipped matrix, {x.label(tip.winner)} wins "
                                   f"(delta = {tip.delta:g}, additive scale):",
                                   _text_matrix(matrix),
-                                  f"extra distance: {tip.extra_distance:.4f}",
-                                  f"total distance: {tip.total_distance:.4f}",
+                                  f"extra distance: {_num(tip.extra_distance)}",
+                                  f"total distance: {_num(tip.total_distance)}",
                                   f"verdict: {'pass' if verdict.passed else 'FAIL'}",
                                   *(f"  note: {msg}" for msg in verdict.messages)],
                    rows=matrix.tolist)
@@ -348,8 +352,8 @@ def cmd_emi(args, out) -> int:
                                         abs_diff=report.abs_diff, tolerances=asdict(x.tol)),
                    lines=lambda: ["absolute difference |A - A'|:",
                                   _text_matrix(report.abs_diff),
-                                  f"EMI: {report.emi:.4f}  (ratio-scale factor e^EMI = "
-                                  f"{ratio:.4f}, derived)",
+                                  f"EMI: {_num(report.emi)}  (ratio-scale factor e^EMI = "
+                                  f"{_num(ratio)}, derived)",
                                   f"nonzero entries: {report.nonzero_count} of at most {most}"],
                    rows=report.abs_diff.tolist)
 
@@ -362,7 +366,7 @@ def cmd_scan(args, out) -> int:
         pairs = [f"({x.label(r.i)},{x.label(r.j)})" for r in table.rows]
         width = max(12, *map(len, pairs))
         return [f"{'pair':>{width}}  {'EMI':>10}  {'distance':>10}  {'f':>10}",
-                *(f"{p:>{width}}  {r.emi:>10.4f}  {r.distance:>10.4f}  {r.f_value:>10.4f}"
+                *(f"{p:>{width}}  {_num(r.emi):>10}  {_num(r.distance):>10}  {_num(r.f_value):>10}"
                   for p, r in zip(pairs, table.rows))]
 
     return _render(args, out,

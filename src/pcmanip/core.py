@@ -156,7 +156,8 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
     _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
     _raise_first(values <= 0, NonPositiveEntryError, values)
     with np.errstate(over="ignore"):  # an infinite residual fails the check below
-        residual = np.abs(values * values.T - 1.0)
+        residual = values * values.T
+    np.abs(np.subtract(residual, 1.0, out=residual), out=residual)  # the one n x n temporary
     np.fill_diagonal(residual, np.abs(np.diag(values) - 1.0))
     _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual, upper=True)
     return MultiplicativePcm(values)
@@ -169,7 +170,8 @@ def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditiveP
     values = _as_square(matrix)
     _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results fail below
-        residual = np.abs(values + values.T)
+        residual = values + values.T
+        np.abs(residual, out=residual)
         sums = values.sum(axis=1)
         spread = sums.max() - sums.min()
     _raise_first(residual > tol.antisymmetry, AntisymmetryViolationError, residual,
@@ -219,10 +221,11 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     the same group.  Within a group, indices ascend.
     """
     w = np.asarray(weights, dtype=float)
-    order = sorted(range(len(w)), key=lambda k: (-w[k], k))
+    order = np.lexsort((np.arange(len(w)), -w)).tolist()  # the key (-w[k], k)
+    ws = w[order].tolist()
     groups: list[list[int]] = []
-    for k in order:
-        if groups and abs(w[groups[-1][-1] - 1] - w[k]) <= tol.ranking_tie:
+    for pos, k in enumerate(order):
+        if pos and abs(ws[pos - 1] - ws[pos]) <= tol.ranking_tie:
             groups[-1].append(k + 1)
         else:
             groups.append([k + 1])

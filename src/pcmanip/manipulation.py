@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
 from .projection import ProjectionResult, max_changed_entries, project_to_tie, tie_costs
-from .tiespace import AlternativePair, tie_gap
+from .tiespace import AlternativePair
 
 DEFAULT_DELTA = 1e-3
 
@@ -45,10 +45,10 @@ def abs_difference(a, b) -> np.ndarray:
 def emi(a, b) -> float:
     """Average absolute entry change of any two matrices, normalized by 4n - 6."""
     va, vb = matched_values(a, b)
-    n = va.shape[0]
-    if max_changed_entries(n) <= 0:
-        raise PcmError(f"EMI undefined for n = {n}")
-    return overflow_safe(lambda x, y: np.abs(x - y).sum() / max_changed_entries(n), va, vb)
+    m = max_changed_entries(va.shape[0])
+    if m <= 0:
+        raise PcmError(f"EMI undefined for n = {va.shape[0]}")
+    return overflow_safe(lambda x, y: np.abs(d := x - y, out=d).sum() / m, va, vb)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def pair_report(
         original=projection.original,
         projected=projection.projected,
         abs_diff=diff,
-        emi=tie_costs(tie_gap(projection.original, pair), pair.n)[1],
+        emi=tie_costs(projection.gap, pair.n)[1],
         nonzero_count=int(np.count_nonzero(diff > 1e-12)),
         distance=projection.distance,
         weights_before=weights_before,

@@ -79,6 +79,7 @@ class ProjectionResult:
     projected: AdditivePcm
     distance: float
     pair: AlternativePair
+    gap: float  # the pair's row-sum gap f, from which every tie cost follows
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -169,11 +170,13 @@ def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
     An AdditivePcm is trusted; anything else is validated as one first.
     A copy of the input is kept, so later changes to it do not leak in."""
     original = (a if isinstance(a, AdditivePcm) else validate_additive(a)).values.copy()
+    f = tie_gap(original, pair)
     return ProjectionResult(
         original=AdditivePcm(original),
-        projected=hyperplane_oracle_project(original, pair),
-        distance=tie_costs(tie_gap(original, pair), pair.n)[0],
+        projected=AdditivePcm(_tie_projection(original, pair, f)),
+        distance=tie_costs(f, pair.n)[0],
         pair=pair,
+        gap=f,
     )
 
 
@@ -190,9 +193,19 @@ def tie_normal_matrix(pair: AlternativePair) -> np.ndarray:
     return normal
 
 
+def _tie_projection(values: np.ndarray, pair: AlternativePair, f: float) -> np.ndarray:
+    """values - (f/n) * tie_normal_matrix(pair), bit for bit, in O(n) after one copy."""
+    i, j, c = pair.i - 1, pair.j - 1, f / pair.n
+    zero, half = c * 0.0, c * 0.5
+    out = values - zero  # as N's zeros do: -0.0 turns to +0.0 when c < 0
+    out[i], out[j] = values[i] - half, values[j] + half
+    out[:, i], out[:, j] = values[:, i] + half, values[:, j] - half
+    out[i, j], out[j, i] = values[i, j] - c, values[j, i] + c
+    out[i, i], out[j, j] = values[i, i] - zero, values[j, j] - zero
+    return out
+
+
 def hyperplane_oracle_project(a, pair: AlternativePair) -> AdditivePcm:
     """Closed-form projection: A - (f/n) * N with f the row-sum gap and
     N the tie normal matrix.  Valid for every pair, including j = n."""
-    values = pair_values(a, pair)
-    f = tie_gap(values, pair)
-    return AdditivePcm(values - (f / pair.n) * tie_normal_matrix(pair))
+    return AdditivePcm(_tie_projection(pair_values(a, pair), pair, tie_gap(a, pair)))

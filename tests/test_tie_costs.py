@@ -21,7 +21,7 @@ from pcmanip import (
     scan_all_pairs,
     tip_pair,
 )
-from pcmanip.cli import EXIT_OK
+from pcmanip.cli import EXIT_OK, _num
 from pcmanip.errors import PcmError
 
 from test_cli import run
@@ -130,10 +130,25 @@ class TestSquareOverflow:
         argv = ["tip", path, "--scale", "additive", "--pair", "1", "2", "--winner", "2"]
         code, out = run(argv)
         assert code == EXIT_OK
-        assert "total distance: 115470053837925" in out
+        assert "total distance: 1.1547e+200" in out
         code, out = run(argv + ["--output", "json"])
         assert json.loads(out)["total_distance"] == pytest.approx(1.1547005383792515e200)
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", [["tip", "--pair", "1", "2", "--winner", "2"],
+                                         ["emi", "--pair", "1", "2"], ["scan"],
+                                         ["project", "--pair", "1", "2"]], ids=lambda c: c[0])
+    def test_cli_lines_stay_short(self, tmp_path, command):
+        code, out = run([command[0], _csv(tmp_path, SQUARE_OVERFLOW), "--scale", "additive",
+                         *command[1:]])
+        assert code == EXIT_OK
+        assert max(map(len, out.splitlines())) <= 120
+
+    @pytest.mark.parametrize("value, text", [
+        (999999999999999.9, "999999999999999.8750"), (-1e15, "-1.0000e+15"),
+        (1.1547005383792515e200, "1.1547e+200"), (math.inf, "inf"), (0.0, "0.0000")])
+    def test_text_numbers_switch_to_exponents_at_1e15(self, value, text):
+        assert _num(value) == text
 
     def test_beyond_float64_is_inf(self):
         a = np.full((3, 3), 1e308)
