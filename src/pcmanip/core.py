@@ -149,34 +149,39 @@ def _raise_first(mask: np.ndarray, error, values: np.ndarray, upper: bool = Fals
         raise error(int(i) + 1, int(j) + 1, values[i, j])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf * 0 or an overflow fails acceptance
 def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> MultiplicativePcm:
-    """Check finiteness, positivity, unit diagonal and reciprocity, each
-    scanned row by row; never mutates input."""
+    """Check finiteness, positivity, unit diagonal and reciprocity; never
+    mutates input.  One fused pass accepts the matrix; only a rejected one
+    is scanned row by row, property by property, to name the first violation."""
     values = _as_square(matrix)
-    _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
-    _raise_first(values <= 0, NonPositiveEntryError, values)
-    with np.errstate(over="ignore"):  # an infinite residual fails the check below
-        residual = values * values.T
-    np.abs(np.subtract(residual, 1.0, out=residual), out=residual)  # the one n x n temporary
-    np.fill_diagonal(residual, np.abs(np.diag(values) - 1.0))
-    _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual, upper=True)
+    residual = np.multiply(values, values.T, order="C")  # the one n x n temporary
+    np.abs(np.subtract(residual, 1.0, out=residual), out=residual)
+    diagonal = residual.reshape(-1)[::values.shape[0] + 1]  # a view: residual is C-ordered
+    np.abs(np.subtract(values.diagonal(), 1.0, out=diagonal), out=diagonal)
+    # min and max propagate NaN, so a NaN or inf entry fails here too
+    if not (np.minimum.reduce(values, axis=None) > 0
+            and np.maximum.reduce(residual, axis=None) <= tol.reciprocity):
+        _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
+        _raise_first(values <= 0, NonPositiveEntryError, values)
+        _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual, upper=True)
     return MultiplicativePcm(values)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results fail below
 def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditivePcm:
-    """Check finiteness and antisymmetry (which covers the zero
-    diagonal), each scanned row by row, then that the row sums and the
-    gaps between them, from which every answer is built, are finite."""
+    """Check finiteness and antisymmetry (which covers the zero diagonal)
+    in one fused pass, scanning row by row, property by property, only to
+    name the first violation; then that the row sums and the gaps between
+    them, from which every answer is built, are finite."""
     values = _as_square(matrix)
-    _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results fail below
-        residual = values + values.T
-        np.abs(residual, out=residual)
-        sums = values.sum(axis=1)
-        spread = sums.max() - sums.min()
-    _raise_first(residual > tol.antisymmetry, AntisymmetryViolationError, residual,
-                 upper=True)
-    if not spread < np.inf:  # also true for NaN
+    residual = values + values.T
+    np.abs(residual, out=residual)
+    if not np.maximum.reduce(residual, axis=None) <= tol.antisymmetry:  # NaN and inf fail too
+        _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
+        _raise_first(residual > tol.antisymmetry, AntisymmetryViolationError, residual, upper=True)
+    sums = np.add.reduce(values, axis=1)
+    if not np.maximum.reduce(sums) - np.minimum.reduce(sums) < np.inf:  # also true for NaN
         i = np.argmax(np.abs(sums))
         j = np.argmax(np.abs(values[i]))
         raise RowSumOverflowError(int(i) + 1, int(j) + 1, values[i, j])
@@ -195,14 +200,19 @@ def to_multiplicative(a: AdditivePcm) -> MultiplicativePcm:
     return MultiplicativePcm(np.exp(values))
 
 
+def _row_means(values: np.ndarray) -> np.ndarray:
+    """np.mean(values, axis=1) bit for bit, without its Python-level wrapper."""
+    return np.add.reduce(values, axis=1) / values.shape[1]
+
+
 def gmm_weights(m: MultiplicativePcm) -> np.ndarray:
     """Geometric mean of each row (computed via logs for stability)."""
-    return np.exp(np.mean(np.log(m.values), axis=1))
+    return np.exp(_row_means(np.log(m.values)))
 
 
 def additive_weights(a) -> np.ndarray:
     """Arithmetic mean of each row."""
-    return np.mean(additive_values(a), axis=1)
+    return _row_means(additive_values(a))
 
 
 def normalize_weights(w) -> np.ndarray:
@@ -214,6 +224,7 @@ def normalize_weights(w) -> np.ndarray:
     return w / w.sum()
 
 
+@np.errstate(invalid="ignore")  # inf - inf is NaN, which starts a group
 def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     """Rank alternatives by descending weight, grouping near-equal ones.
 
@@ -221,15 +232,12 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     the same group.  Within a group, indices ascend.
     """
     w = np.asarray(weights, dtype=float)
-    order = np.lexsort((np.arange(len(w)), -w)).tolist()  # the key (-w[k], k)
-    ws = w[order].tolist()
-    groups: list[list[int]] = []
-    for pos, k in enumerate(order):
-        if pos and abs(ws[pos - 1] - ws[pos]) <= tol.ranking_tie:
-            groups[-1].append(k + 1)
-        else:
-            groups.append([k + 1])
-    return Ranking(tuple(tuple(sorted(g)) for g in groups))
+    order = np.lexsort((np.arange(len(w)), -w))  # the key (-w[k], k)
+    ws = w[order]
+    ks = (order + 1).tolist()
+    cuts = (np.flatnonzero(~(np.abs(ws[:-1] - ws[1:]) <= tol.ranking_tie)) + 1).tolist()
+    groups = (ks[a:b] for a, b in zip([0, *cuts], [*cuts, len(ks)]) if a < b)
+    return Ranking(tuple(tuple(sorted(g)) if len(g) > 1 else tuple(g) for g in groups))
 
 
 def frobenius_inner(a, b) -> float:

@@ -164,4 +164,4 @@ def is_tie_equating(a, pair: AlternativePair, tol: float = 1e-9) -> bool:
 def tie_gap(a, pair: AlternativePair) -> float:
     """Row-sum difference f = sum_k a_ik - sum_k a_jk (signed)."""
     values = pair_values(a, pair)
-    return float(values[pair.i - 1].sum() - values[pair.j - 1].sum())
+    return float(np.add.reduce(values[pair.i - 1]) - np.add.reduce(values[pair.j - 1]))
