@@ -152,16 +152,20 @@ def _raise_first(mask: np.ndarray, error, values: np.ndarray, upper: bool = Fals
 @np.errstate(over="ignore", invalid="ignore")  # inf * 0 or an overflow fails acceptance
 def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> MultiplicativePcm:
     """Check finiteness, positivity, unit diagonal and reciprocity; never
-    mutates input.  One fused pass accepts the matrix; only a rejected one
-    is scanned row by row, property by property, to name the first violation."""
+    mutates input.  A matrix is accepted from the range of m_ij * m_ji:
+    positive entries whose products all lie within tol of 1 pass, which
+    decides reciprocity exactly and implies |m_ii - 1| <= tol.  Only a
+    rejected one is scanned row by row, property by property, to name the
+    first violation; one whose m_ii^2 alone failed passes there."""
     values = _as_square(matrix)
-    residual = np.multiply(values, values.T, order="C")  # the one n x n temporary
-    np.abs(np.subtract(residual, 1.0, out=residual), out=residual)
-    diagonal = residual.reshape(-1)[::values.shape[0] + 1]  # a view: residual is C-ordered
-    np.abs(np.subtract(values.diagonal(), 1.0, out=diagonal), out=diagonal)
+    products = np.multiply(values, values.T, order="C")  # the one n x n temporary
     # min and max propagate NaN, so a NaN or inf entry fails here too
     if not (np.minimum.reduce(values, axis=None) > 0
-            and np.maximum.reduce(residual, axis=None) <= tol.reciprocity):
+            and np.maximum.reduce(products, axis=None) - 1.0 <= tol.reciprocity
+            and 1.0 - np.minimum.reduce(products, axis=None) <= tol.reciprocity):
+        residual = np.abs(np.subtract(products, 1.0, out=products), out=products)
+        diagonal = residual.reshape(-1)[::values.shape[0] + 1]  # a view: residual is C-ordered
+        np.abs(np.subtract(values.diagonal(), 1.0, out=diagonal), out=diagonal)
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
         _raise_first(values <= 0, NonPositiveEntryError, values)
         _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual, upper=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -153,22 +154,24 @@ def scan_all_pairs(a) -> PairScanTable:
 
     Both costs of pair (i, j) follow from f = s_i - s_j, the gap between
     the pair's row sums (see tie_costs), so one pass over the row sums
-    serves all pairs.
-    Sorted ascending by EMI with ties broken lexicographically by
-    (i, j), so the result is deterministic.  An AdditivePcm is trusted;
-    anything else is validated as one first.
+    serves all pairs.  The rows come sorted by EMI ascending, with ties
+    in (i, j) order, so the result is deterministic.  An AdditivePcm is
+    trusted; anything else is validated as one first.
     """
     values = (a if isinstance(a, AdditivePcm) else validate_additive(a)).values
     n = values.shape[0]
     if n < 3:
         raise PcmError(f"scan requires n >= 3, got {n}")
-    row_sums = values.sum(axis=1)
-    i, j = np.triu_indices(n, 1)
+    row_sums = np.add.reduce(values, axis=1)
+    index = np.arange(n)
+    i, j = np.nonzero(np.less.outer(index, index))  # the pairs i < j in (i, j) order
     f = row_sums[i] - row_sums[j]
     distances, emis = tie_costs(f, n)
-    order = np.lexsort((j, i, emis))
+    order = np.argsort(emis, kind="stable")  # so EMI ties keep (i, j) order
     columns = (i[order] + 1, j[order] + 1, emis[order], distances[order], f[order])
-    return PairScanTable(n=n, rows=tuple(map(PairScanRow, *(c.tolist() for c in columns))))
+    # PairScanRow._make without its length check: NamedTuple's __new__ is Python code
+    rows = map(tuple.__new__, repeat(PairScanRow), zip(*(c.tolist() for c in columns)))
+    return PairScanTable(n=n, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,16 @@ class TestScanCommand:
         assert code == EXIT_OK
         assert len({len(line) for line in out.splitlines()}) == 1
 
+    @pytest.mark.parametrize("output", ["text", "json", "csv"])
+    def test_valid_two_by_two_is_a_usage_error(self, tmp_path, output, capsys):
+        # the matrix is valid, so a scan of it is a usage error, not a validation one
+        path = tmp_path / "two.csv"
+        path.write_text("1,2\n0.5,1\n")
+        assert run(["validate", str(path), "--output", output])[0] == EXIT_OK
+        capsys.readouterr()
+        assert run(["scan", str(path), "--output", output]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == "argument error: scan requires n >= 3, got 2\n"
+
 
 class TestRobustInput:
     @pytest.mark.parametrize("names", ['[[1], [2]]', '[1, 2]', '["a", null]'])
