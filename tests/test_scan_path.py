@@ -59,10 +59,3 @@ def test_rows_match_the_old_construction(rng, kind, n):
                 assert type(field) is kind_of
                 assert field == expected and repr(field) == repr(expected)
 
-
-def test_ties_keep_pair_order():
-    # every gap is zero, so every EMI ties and the rows stay in (i, j) order
-    table = scan_all_pairs(np.zeros((5, 5)))
-    assert [(r.i, r.j) for r in table.rows] == [
-        (i, j) for i in range(1, 6) for j in range(i + 1, 6)
-    ]
