@@ -16,6 +16,7 @@ every index that crosses an API boundary (pairs, errors, reports) is
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,21 @@ from .errors import (
 
 # largest additive entry exp() can map into a finite float64
 _MAX_EXP = np.log(np.finfo(np.float64).max)
+
+# n x n temporaries of this many entries (128 KiB, glibc's default mmap threshold)
+# and more go to the thread's workspace; malloc reuses the memory of smaller ones
+_WORKSPACE_MIN = 16384
+_workspace_local = threading.local()
+
+
+def _workspace(shape) -> np.ndarray:
+    """A C-ordered float64 view of the thread's one buffer for a temporary that
+    does not outlive the call; the buffer grows when needed and never shrinks."""
+    size = shape[0] * shape[1]
+    buffer = getattr(_workspace_local, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _workspace_local.buffer = np.empty(size)
+    return buffer[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -158,7 +174,8 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
     rejected one is scanned row by row, property by property, to name the
     first violation; one whose m_ii^2 alone failed passes there."""
     values = _as_square(matrix)
-    products = np.multiply(values, values.T, order="C")  # the one n x n temporary
+    out = _workspace(values.shape) if values.size >= _WORKSPACE_MIN else None
+    products = np.multiply(values, values.T, out=out, order="C")  # the one n x n temporary
     # min and max propagate NaN, so a NaN or inf entry fails here too
     if not (np.minimum.reduce(values, axis=None) > 0
             and np.maximum.reduce(products, axis=None) - 1.0 <= tol.reciprocity
@@ -179,7 +196,8 @@ def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditiveP
     name the first violation; then that the row sums and the gaps between
     them, from which every answer is built, are finite."""
     values = _as_square(matrix)
-    residual = values + values.T
+    out = _workspace(values.shape) if values.size >= _WORKSPACE_MIN else None
+    residual = np.add(values, values.T, out=out)
     np.abs(residual, out=residual)
     if not np.maximum.reduce(residual, axis=None) <= tol.antisymmetry:  # NaN and inf fail too
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
@@ -197,10 +215,11 @@ def to_additive(m: MultiplicativePcm) -> AdditivePcm:
     return AdditivePcm(np.log(m.values))
 
 
-def to_multiplicative(a: AdditivePcm) -> MultiplicativePcm:
-    """Entry-wise exponential."""
-    values = additive_values(a)
-    _raise_first(np.abs(values) >= _MAX_EXP, OverflowDomainError, values)
+def to_multiplicative(a) -> MultiplicativePcm:
+    """Entry-wise exponential; an array-like must pass validate_additive."""
+    values = a.values if isinstance(a, AdditivePcm) else validate_additive(a).values
+    out = _workspace(values.shape) if values.size >= _WORKSPACE_MIN else None
+    _raise_first(np.abs(values, out=out) >= _MAX_EXP, OverflowDomainError, values)
     return MultiplicativePcm(np.exp(values))
 
 
@@ -211,7 +230,8 @@ def _row_means(values: np.ndarray) -> np.ndarray:
 
 def gmm_weights(m: MultiplicativePcm) -> np.ndarray:
     """Geometric mean of each row (computed via logs for stability)."""
-    return np.exp(_row_means(np.log(m.values)))
+    out = _workspace(m.values.shape) if m.values.size >= _WORKSPACE_MIN else None
+    return np.exp(_row_means(np.log(m.values, out=out)))
 
 
 def additive_weights(a) -> np.ndarray:
@@ -219,13 +239,19 @@ def additive_weights(a) -> np.ndarray:
     return _row_means(additive_values(a))
 
 
+@np.errstate(over="ignore")  # a sum that overflows is redone below
 def normalize_weights(w) -> np.ndarray:
-    """Scale a positive, finite weight vector to sum to one."""
+    """Scale a positive, finite weight vector to sum to one; as in overflow_safe,
+    only a sum that overflows is redone on the weights scaled by a power of two."""
     w = np.asarray(w, dtype=float)
     bad = np.flatnonzero(~((0 < w) & (w < np.inf)))  # NaN fails both
     if bad.size:
         raise NonPositiveWeightError(int(bad[0]) + 1, w[bad[0]])
-    return w / w.sum()
+    total = w.sum()
+    if total == np.inf:
+        w = np.ldexp(w, -np.frexp(w.max())[1])
+        total = w.sum()
+    return w / total
 
 
 @np.errstate(invalid="ignore")  # inf - inf is NaN, which starts a group
@@ -247,7 +273,8 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
 def frobenius_inner(a, b) -> float:
     """Entry-wise product sum of two equally sized matrices."""
     va, vb = matched_values(a, b)
-    return float(np.sum(va * vb))
+    out = _workspace(va.shape) if va.size >= _WORKSPACE_MIN else None
+    return float(np.sum(np.multiply(va, vb, out=out)))
 
 
 @np.errstate(over="ignore")  # as a decorator it costs half as much as a with block
@@ -267,4 +294,7 @@ def frobenius_norm(a) -> float:
 
 
 def frobenius_distance(a, b) -> float:
-    return overflow_safe(lambda x, y: np.linalg.norm(x - y), *matched_values(a, b))
+    def norm_of_difference(x, y):
+        out = _workspace(x.shape) if x.size >= _WORKSPACE_MIN else None
+        return np.linalg.norm(np.subtract(x, y, out=out))
+    return overflow_safe(norm_of_difference, *matched_values(a, b))

@@ -29,6 +29,8 @@ from .core import (
     pair_values,
     ranking_of,
     validate_additive,
+    _WORKSPACE_MIN,
+    _workspace,
 )
 from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
 from .projection import ProjectionResult, max_changed_entries, project_to_tie, tie_costs
@@ -49,7 +51,10 @@ def emi(a, b) -> float:
     m = max_changed_entries(va.shape[0])
     if m <= 0:
         raise PcmError(f"EMI undefined for n = {va.shape[0]}")
-    return overflow_safe(lambda x, y: np.abs(d := x - y, out=d).sum() / m, va, vb)
+    def mean_abs_difference(x, y):
+        d = np.subtract(x, y, out=_workspace(x.shape) if x.size >= _WORKSPACE_MIN else None)
+        return np.abs(d, out=d).sum() / m
+    return overflow_safe(mean_abs_difference, va, vb)
 
 
 @dataclass(frozen=True)

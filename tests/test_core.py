@@ -135,6 +135,22 @@ class TestConversion:
         with pytest.raises(OverflowDomainError):
             to_multiplicative(AdditivePcm(huge))
 
+    @pytest.mark.parametrize("values, error", [
+        ([[0, np.nan], [np.nan, 0]], NonFiniteEntryError),
+        ([[0, 1], [1, 0]], AntisymmetryViolationError),
+        ([[0, 1e308, 1e308], [-1e308, 0, 1e308], [-1e308, -1e308, 0]], RowSumOverflowError),
+        ([[0, 1], [-1, 0], [0, 0]], NotSquareError),
+    ], ids=["nan", "symmetric", "row-sum", "not-square"])
+    def test_raw_arrays_are_validated_first(self, values, error):
+        with pytest.raises(error):
+            to_multiplicative(np.array(values, dtype=float))
+
+    def test_raw_array_gives_the_same_bytes_as_a_validated_one(self):
+        raw = to_multiplicative(EXAMPLE_A).values
+        assert raw.tobytes() == to_multiplicative(AdditivePcm(EXAMPLE_A)).values.tobytes()
+        with pytest.raises(OverflowDomainError):
+            to_multiplicative(M([[0, 1e4], [-1e4, 0]]))
+
     def test_to_additive_passes_strict_validation(self, rng):
         a = random_antisymmetric(rng, 5, scale=3.0)
         m = validate_multiplicative(np.exp(a), Tolerances(reciprocity=1e-6))
@@ -176,6 +192,20 @@ class TestWeights:
         assert np.allclose(normalize_weights([1, 1, 1]), [1 / 3] * 3)
         assert np.allclose(normalize_weights([2, 0.5]), [0.8, 0.2])
         assert np.allclose(normalize_weights([2, 3, 5]), [0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize("weights", [
+        [1e308, 1e308], [1.7e308, 1.7e308, 1.7e308], [1e308, 1e308, 1.0, 5e-324],
+    ])
+    def test_normalize_survives_a_sum_beyond_float64(self, weights):
+        w = np.array(weights)
+        e = np.frexp(w.max())[1]
+        scaled = np.ldexp(w, -e)  # 5e-324 underflows to 0 here, as its share does
+        assert np.array_equal(normalize_weights(w), scaled / scaled.sum())
+        assert np.isclose(normalize_weights(w).sum(), 1.0)
+
+    def test_normalize_keeps_its_bits_when_the_sum_fits(self, rng):
+        for w in [rng.random(7) + 0.1, rng.random(300) * 1e305, np.array([1e308, 7e307])]:
+            assert normalize_weights(w).tobytes() == (w / w.sum()).tobytes()
 
     def test_normalize_rejects_nonpositive(self):
         with pytest.raises(NonPositiveWeightError):
