@@ -37,20 +37,18 @@ from .errors import (
 # largest additive entry exp() can map into a finite float64
 _MAX_EXP = np.log(np.finfo(np.float64).max)
 
-# n x n temporaries of this many entries (128 KiB, glibc's default mmap threshold)
-# and more go to the thread's workspace; malloc reuses the memory of smaller ones
-_WORKSPACE_MIN = 16384
+_WORKSPACE_MIN = 16384  # entries: 128 KiB, glibc's default mmap threshold
 _workspace_local = threading.local()
 
 
-def _workspace(shape) -> np.ndarray:
-    """A C-ordered float64 view of the thread's one buffer for a temporary that
-    does not outlive the call; the buffer grows when needed and never shrinks."""
-    size = shape[0] * shape[1]
+def _workspace(like: np.ndarray) -> np.ndarray:
+    """A C-ordered float64 view, shaped like `like`, of the thread's one buffer (grown, never
+    shrunk) for a temporary of _WORKSPACE_MIN entries or more that dies with the call: glibc
+    would hand its pages back to the OS on every free, but reuses the memory of smaller ones."""
     buffer = getattr(_workspace_local, "buffer", None)
-    if buffer is None or buffer.size < size:
-        buffer = _workspace_local.buffer = np.empty(size)
-    return buffer[:size].reshape(shape)
+    if buffer is None or buffer.size < like.size:
+        buffer = _workspace_local.buffer = np.empty(like.size)
+    return buffer[:like.size].reshape(like.shape)
 
 
 @dataclass(frozen=True)
@@ -174,8 +172,8 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
     rejected one is scanned row by row, property by property, to name the
     first violation; one whose m_ii^2 alone failed passes there."""
     values = _as_square(matrix)
-    out = _workspace(values.shape) if values.size >= _WORKSPACE_MIN else None
-    products = np.multiply(values, values.T, out=out, order="C")  # the one n x n temporary
+    products = (np.multiply(values, values.T, order="C") if values.size < _WORKSPACE_MIN
+                else np.multiply(values, values.T, out=_workspace(values)))  # the one temporary
     # min and max propagate NaN, so a NaN or inf entry fails here too
     if not (np.minimum.reduce(values, axis=None) > 0
             and np.maximum.reduce(products, axis=None) - 1.0 <= tol.reciprocity
@@ -196,8 +194,8 @@ def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditiveP
     name the first violation; then that the row sums and the gaps between
     them, from which every answer is built, are finite."""
     values = _as_square(matrix)
-    out = _workspace(values.shape) if values.size >= _WORKSPACE_MIN else None
-    residual = np.add(values, values.T, out=out)
+    residual = (values + values.T if values.size < _WORKSPACE_MIN
+                else np.add(values, values.T, out=_workspace(values)))
     np.abs(residual, out=residual)
     if not np.maximum.reduce(residual, axis=None) <= tol.antisymmetry:  # NaN and inf fail too
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
@@ -218,8 +216,9 @@ def to_additive(m: MultiplicativePcm) -> AdditivePcm:
 def to_multiplicative(a) -> MultiplicativePcm:
     """Entry-wise exponential; an array-like must pass validate_additive."""
     values = a.values if isinstance(a, AdditivePcm) else validate_additive(a).values
-    out = _workspace(values.shape) if values.size >= _WORKSPACE_MIN else None
-    _raise_first(np.abs(values, out=out) >= _MAX_EXP, OverflowDomainError, values)
+    magnitude = (np.abs(values) if values.size < _WORKSPACE_MIN
+                 else np.abs(values, out=_workspace(values)))
+    _raise_first(magnitude >= _MAX_EXP, OverflowDomainError, values)
     return MultiplicativePcm(np.exp(values))
 
 
@@ -230,8 +229,9 @@ def _row_means(values: np.ndarray) -> np.ndarray:
 
 def gmm_weights(m: MultiplicativePcm) -> np.ndarray:
     """Geometric mean of each row (computed via logs for stability)."""
-    out = _workspace(m.values.shape) if m.values.size >= _WORKSPACE_MIN else None
-    return np.exp(_row_means(np.log(m.values, out=out)))
+    v = m.values
+    logs = np.log(v) if v.size < _WORKSPACE_MIN else np.log(v, out=_workspace(v))
+    return np.exp(_row_means(logs))
 
 
 def additive_weights(a) -> np.ndarray:
@@ -273,8 +273,8 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
 def frobenius_inner(a, b) -> float:
     """Entry-wise product sum of two equally sized matrices."""
     va, vb = matched_values(a, b)
-    out = _workspace(va.shape) if va.size >= _WORKSPACE_MIN else None
-    return float(np.sum(np.multiply(va, vb, out=out)))
+    product = va * vb if va.size < _WORKSPACE_MIN else np.multiply(va, vb, out=_workspace(va))
+    return float(np.sum(product))
 
 
 @np.errstate(over="ignore")  # as a decorator it costs half as much as a with block
@@ -295,6 +295,6 @@ def frobenius_norm(a) -> float:
 
 def frobenius_distance(a, b) -> float:
     def norm_of_difference(x, y):
-        out = _workspace(x.shape) if x.size >= _WORKSPACE_MIN else None
-        return np.linalg.norm(np.subtract(x, y, out=out))
+        return np.linalg.norm(
+            x - y if x.size < _WORKSPACE_MIN else np.subtract(x, y, out=_workspace(x)))
     return overflow_safe(norm_of_difference, *matched_values(a, b))

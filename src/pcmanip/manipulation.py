@@ -52,7 +52,7 @@ def emi(a, b) -> float:
     if m <= 0:
         raise PcmError(f"EMI undefined for n = {va.shape[0]}")
     def mean_abs_difference(x, y):
-        d = np.subtract(x, y, out=_workspace(x.shape) if x.size >= _WORKSPACE_MIN else None)
+        d = x - y if x.size < _WORKSPACE_MIN else np.subtract(x, y, out=_workspace(x))
         return np.abs(d, out=d).sum() / m
     return overflow_safe(mean_abs_difference, va, vb)
 

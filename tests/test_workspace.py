@@ -268,9 +268,9 @@ def test_results_keep_their_bytes_after_a_second_call(n, rng):
         (to_multiplicative, first_a, second_a),
         (lambda m: gmm_weights(validate_multiplicative(m)), first_m, second_m),
     ]
-    for name, broken in multiplicative_cases(rng, n)[1:]:
+    for _, broken in multiplicative_cases(rng, n)[1:]:
         calls.append((validate_multiplicative, broken, second_m))
-    for name, broken in additive_cases(rng, n)[1:]:
+    for _, broken in additive_cases(rng, n)[1:]:
         calls.append((validate_additive, broken, second_a))
     for call, first, second in calls:
         result = _outcome(call, first)
@@ -322,10 +322,15 @@ def test_threads_get_their_own_workspace(rng):
             barrier.abort()
 
     threads = [threading.Thread(target=worker, args=(n,)) for n in sizes]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     own = [buffers[n] for n in sizes] + [_workspace_buffer()]
