@@ -12,6 +12,7 @@ buffer, and in a fresh process repeated calls at n = 300 take no fresh
 pages after warm-up."""
 
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -371,6 +372,7 @@ def test_repeated_large_calls_take_no_fresh_pages():
     fresh process; before the workspace, one validator alone took 6700."""
     src = str(Path(pcmanip.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], capture_output=True, text=True,
-                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout.split()[-1]) < 20
