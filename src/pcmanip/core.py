@@ -38,17 +38,29 @@ from .errors import (
 _MAX_EXP = np.log(np.finfo(np.float64).max)
 
 _WORKSPACE_MIN = 16384  # entries: 128 KiB, glibc's default mmap threshold
+_WORKSPACE_MAX = 1 << 20  # entries: 8 MiB, the most a thread keeps (n <= 1024)
 _workspace_local = threading.local()
 
 
-def _workspace(like: np.ndarray) -> np.ndarray:
-    """A C-ordered float64 view, shaped like `like`, of the thread's one buffer (grown, never
-    shrunk) for a temporary of _WORKSPACE_MIN entries or more that dies with the call: glibc
-    would hand its pages back to the OS on every free, but reuses the memory of smaller ones."""
+def _workspace(*operands: np.ndarray) -> np.ndarray | None:
+    """out= for an n x n ufunc result that dies with the call: a view of the thread's one
+    buffer (grown, never shrunk, kept until the thread ends), so glibc does not map fresh
+    pages on every call, laid out as numpy lays out the result so that reductions add in the
+    same order; None, so the ufunc allocates, for an operand that is not contiguous float64
+    or a result of more than _WORKSPACE_MAX entries."""
+    size, shape = operands[0].size, operands[0].shape
+    if size > _WORKSPACE_MAX or not all(x.flags.forc and x.dtype == np.float64 for x in operands):
+        return None
     buffer = getattr(_workspace_local, "buffer", None)
-    if buffer is None or buffer.size < like.size:
-        buffer = _workspace_local.buffer = np.empty(like.size)
-    return buffer[:like.size].reshape(like.shape)
+    if buffer is None or buffer.size < size:
+        buffer = _workspace_local.buffer = np.empty(size)
+    order = "F" if all(x.flags.f_contiguous for x in operands) else "C"
+    return buffer[:size].reshape(shape, order=order)
+
+
+def _difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x - y, written into the workspace from _WORKSPACE_MIN entries up."""
+    return x - y if x.size < _WORKSPACE_MIN else np.subtract(x, y, out=_workspace(x, y))
 
 
 @dataclass(frozen=True)
@@ -173,7 +185,7 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
     first violation; one whose m_ii^2 alone failed passes there."""
     values = _as_square(matrix)
     products = (np.multiply(values, values.T, order="C") if values.size < _WORKSPACE_MIN
-                else np.multiply(values, values.T, out=_workspace(values)))  # the one temporary
+                else np.multiply(values, values.T, out=_workspace(values, values.T)))
     # min and max propagate NaN, so a NaN or inf entry fails here too
     if not (np.minimum.reduce(values, axis=None) > 0
             and np.maximum.reduce(products, axis=None) - 1.0 <= tol.reciprocity
@@ -195,7 +207,7 @@ def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditiveP
     them, from which every answer is built, are finite."""
     values = _as_square(matrix)
     residual = (values + values.T if values.size < _WORKSPACE_MIN
-                else np.add(values, values.T, out=_workspace(values)))
+                else np.add(values, values.T, out=_workspace(values, values.T)))
     np.abs(residual, out=residual)
     if not np.maximum.reduce(residual, axis=None) <= tol.antisymmetry:  # NaN and inf fail too
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
@@ -216,9 +228,7 @@ def to_additive(m: MultiplicativePcm) -> AdditivePcm:
 def to_multiplicative(a) -> MultiplicativePcm:
     """Entry-wise exponential; an array-like must pass validate_additive."""
     values = a.values if isinstance(a, AdditivePcm) else validate_additive(a).values
-    magnitude = (np.abs(values) if values.size < _WORKSPACE_MIN
-                 else np.abs(values, out=_workspace(values)))
-    _raise_first(magnitude >= _MAX_EXP, OverflowDomainError, values)
+    _raise_first(np.abs(values) >= _MAX_EXP, OverflowDomainError, values)
     return MultiplicativePcm(np.exp(values))
 
 
@@ -241,14 +251,12 @@ def additive_weights(a) -> np.ndarray:
 
 @np.errstate(over="ignore")  # a sum that overflows is redone below
 def normalize_weights(w) -> np.ndarray:
-    """Scale a positive, finite weight vector to sum to one; as in overflow_safe,
-    only a sum that overflows is redone on the weights scaled by a power of two."""
+    """Scale a positive, finite weight vector to sum to one."""
     w = np.asarray(w, dtype=float)
     bad = np.flatnonzero(~((0 < w) & (w < np.inf)))  # NaN fails both
     if bad.size:
         raise NonPositiveWeightError(int(bad[0]) + 1, w[bad[0]])
-    total = w.sum()
-    if total == np.inf:
+    if (total := w.sum()) == np.inf:  # as overflow_safe does: redo it scaled by a power of 2
         w = np.ldexp(w, -np.frexp(w.max())[1])
         total = w.sum()
     return w / total
@@ -273,8 +281,7 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
 def frobenius_inner(a, b) -> float:
     """Entry-wise product sum of two equally sized matrices."""
     va, vb = matched_values(a, b)
-    product = va * vb if va.size < _WORKSPACE_MIN else np.multiply(va, vb, out=_workspace(va))
-    return float(np.sum(product))
+    return float(np.sum(va * vb))
 
 
 @np.errstate(over="ignore")  # as a decorator it costs half as much as a with block
@@ -294,7 +301,4 @@ def frobenius_norm(a) -> float:
 
 
 def frobenius_distance(a, b) -> float:
-    def norm_of_difference(x, y):
-        return np.linalg.norm(
-            x - y if x.size < _WORKSPACE_MIN else np.subtract(x, y, out=_workspace(x)))
-    return overflow_safe(norm_of_difference, *matched_values(a, b))
+    return overflow_safe(lambda x, y: np.linalg.norm(x - y), *matched_values(a, b))

@@ -29,8 +29,7 @@ from .core import (
     pair_values,
     ranking_of,
     validate_additive,
-    _WORKSPACE_MIN,
-    _workspace,
+    _difference,
 )
 from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
 from .projection import ProjectionResult, max_changed_entries, project_to_tie, tie_costs
@@ -51,10 +50,7 @@ def emi(a, b) -> float:
     m = max_changed_entries(va.shape[0])
     if m <= 0:
         raise PcmError(f"EMI undefined for n = {va.shape[0]}")
-    def mean_abs_difference(x, y):
-        d = x - y if x.size < _WORKSPACE_MIN else np.subtract(x, y, out=_workspace(x))
-        return np.abs(d, out=d).sum() / m
-    return overflow_safe(mean_abs_difference, va, vb)
+    return overflow_safe(lambda x, y: np.abs(d := _difference(x, y), out=d).sum() / m, va, vb)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """The per-thread workspace that large n x n temporaries are written into.
 
-Every function that routes a temporary through it is pinned bit for bit
-against the allocating formula it replaced, on both sides of the cut-off:
-n = 127 (16129 entries) still allocates, n = 128 (16384) and n = 300 use
-the workspace.  Accepted inputs must give the same bytes, rejected ones
-the same error type, 1-based location and value, and the overflow path of
-emi and frobenius_distance the same rescaled result.  No returned array or
-error value may share memory with the workspace, and a result must keep
-its bytes after a second call at the same size.  Each thread gets its own
-buffer, and in a fresh process repeated calls at n = 300 take no fresh
+The validators, gmm_weights and emi (and to_multiplicative on a raw array,
+through validate_additive) are pinned bit for bit against the allocating
+formula each replaced, on both sides of the cut-off: n = 127 (16129
+entries) still allocates, n = 128 (16384) and n = 300 use the workspace.
+Inputs come C-ordered, F-ordered, mixed and strided, since the order a
+reduction adds in follows the layout of the array it reduces.  Accepted
+inputs must give the same bytes, rejected ones the same error type,
+1-based location and value, and the overflow path of emi the same
+rescaled result (frobenius_distance, which allocates, alongside).  No
+returned array or error value may share memory with the workspace, and a
+result must keep its bytes after a second call at the same size.  Each
+thread gets its own buffer, a result over the cap is allocated and not
+kept, and in a fresh process repeated calls at n = 300 take no fresh
 pages after warm-up."""
 
 import math
@@ -29,7 +33,6 @@ from pcmanip import (
     DEFAULT_TOLERANCES,
     emi,
     frobenius_distance,
-    frobenius_inner,
     gmm_weights,
     to_multiplicative,
     validate_additive,
@@ -49,6 +52,14 @@ from refdata import random_antisymmetric
 
 SIZES = [127, 128, 300]
 TOL = DEFAULT_TOLERANCES
+ORDERS = {"C": np.ascontiguousarray, "F": np.asfortranarray}
+# layouts of an (a, b) pair: numpy writes a - b F-ordered only when both are
+PAIR_LAYOUTS = {
+    "C": lambda a, b: (a, b),
+    "F": lambda a, b: (np.asfortranarray(a), np.asfortranarray(b)),
+    "F and C": lambda a, b: (np.asfortranarray(a), b),
+    "strided": lambda a, b: (np.asfortranarray(a)[::-1], b[:, ::-1]),
+}
 
 
 # --- the allocating formulas the workspace replaced -------------------------
@@ -195,17 +206,21 @@ def assert_no_alias(result):
 
 # --- bit for bit ------------------------------------------------------------
 
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("n", SIZES)
-def test_validate_multiplicative_matches_allocating_formula(n, rng):
+def test_validate_multiplicative_matches_allocating_formula(n, order, rng):
     for name, matrix in multiplicative_cases(rng, n):
+        matrix = ORDERS[order](matrix)
         got = _outcome(validate_multiplicative, matrix)
         assert _key(got) == _key(ref_validate_multiplicative(matrix)), name
         assert_no_alias(got)
 
 
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("n", SIZES)
-def test_validate_additive_matches_allocating_formula(n, rng):
+def test_validate_additive_matches_allocating_formula(n, order, rng):
     for name, matrix in additive_cases(rng, n):
+        matrix = ORDERS[order](matrix)
         got = _outcome(validate_additive, matrix)
         assert _key(got) == _key(ref_validate_additive(matrix)), name
         assert_no_alias(got)
@@ -213,6 +228,8 @@ def test_validate_additive_matches_allocating_formula(n, rng):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_to_multiplicative_matches_allocating_formula(n, rng):
+    """A raw array goes through validate_additive first, so it uses the
+    workspace and must give the bytes an AdditivePcm gives."""
     a = random_antisymmetric(rng, n)
     big = a.copy()
     big[n // 2, n - 3], big[n - 3, n // 2] = 800.0, -800.0
@@ -224,24 +241,31 @@ def test_to_multiplicative_matches_allocating_formula(n, rng):
             assert_no_alias(got)
 
 
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("n", SIZES)
-def test_gmm_weights_matches_allocating_formula(n, rng):
-    m = validate_multiplicative(_multiplicative(rng, n))
-    got = gmm_weights(m)
-    assert _key(got) == _key(ref_gmm_weights(m.values))
-    assert_no_alias(got)
+def test_gmm_weights_matches_allocating_formula(n, order, rng):
+    """The row sums of an F-ordered log add column by column, so the log
+    must be written F-ordered too; a strided or float32 matrix is allocated."""
+    m = validate_multiplicative(ORDERS[order](_multiplicative(rng, n)))
+    for values in (m.values, m.values[::-1], m.values.astype(np.float32)):
+        got = gmm_weights(pcmanip.MultiplicativePcm(values))
+        assert _key(got) == _key(ref_gmm_weights(values))
+        assert_no_alias(got)
 
 
+@pytest.mark.parametrize("layout", PAIR_LAYOUTS)
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("big", [False, True])
-def test_difference_metrics_match_allocating_formula(n, big, rng):
+def test_difference_metrics_match_allocating_formula(n, big, layout, rng):
     """With one pair of entries at +-1e308 the plain sum and norm of a - b
     overflow while the results fit, so overflow_safe's rescale path runs
-    on the workspace too."""
-    a, b = random_antisymmetric(rng, n), random_antisymmetric(rng, n)
+    on the workspace too.  b is not antisymmetric, so |a - b| is not
+    symmetric and C and F order add its entries in different orders."""
+    a, b = random_antisymmetric(rng, n), rng.uniform(-2.0, 2.0, size=(n, n))
     if big:
         p, q = n // 2, n - 3
         a[p, q], a[q, p] = 1e308, -1e308
+    a, b = PAIR_LAYOUTS[layout](a, b)
     with np.errstate(over="ignore"):
         assert math.isinf(np.abs(a - b).sum()) == big
         assert math.isinf(np.linalg.norm(a - b)) == big
@@ -249,12 +273,6 @@ def test_difference_metrics_match_allocating_formula(n, big, rng):
         got = metric(a, b)
         assert math.isfinite(got)
         assert np.float64(got).tobytes() == np.float64(ref(a, b)).tobytes()
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_frobenius_inner_matches_allocating_formula(n, rng):
-    a, b = random_antisymmetric(rng, n), random_antisymmetric(rng, n)
-    assert frobenius_inner(a, b) == float(np.sum(a * b))
 
 
 # --- no aliasing ------------------------------------------------------------
@@ -289,6 +307,28 @@ def test_the_workspace_grows_and_is_not_returned(rng):
     result = validate_additive(random_antisymmetric(rng, 128))
     assert _workspace_buffer() is buffer  # never shrunk
     assert not np.shares_memory(result.values, buffer)
+
+
+def test_a_result_over_the_cap_is_allocated_and_not_kept(rng):
+    """Above _WORKSPACE_MAX entries the temporaries are fresh arrays, so one
+    huge call cannot pin its memory for the life of the thread."""
+    n = math.isqrt(core._WORKSPACE_MAX) + 1
+    a, b = random_antisymmetric(rng, n), random_antisymmetric(rng, n)
+    m = np.exp(a)
+    seen = {}
+
+    def run():  # in a fresh thread, whose workspace starts empty
+        mult = validate_multiplicative(m)
+        seen["keys"] = (_key(mult), _key(validate_additive(a)), _key(gmm_weights(mult)),
+                        np.float64(emi(a, b)).tobytes())
+        seen["buffer"] = _workspace_buffer()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert seen["buffer"] is None
+    assert seen["keys"] == (_key(ref_validate_multiplicative(m)), _key(ref_validate_additive(a)),
+                            _key(ref_gmm_weights(m)), np.float64(ref_emi(a, b)).tobytes())
 
 
 # --- threads and page faults ------------------------------------------------
