@@ -43,24 +43,22 @@ _workspace_local = threading.local()
 
 
 def _workspace(*operands: np.ndarray) -> np.ndarray | None:
-    """out= for an n x n ufunc result that dies with the call: a view of the thread's one
-    buffer (grown, never shrunk, kept until the thread ends), so glibc does not map fresh
-    pages on every call, laid out as numpy lays out the result so that reductions add in the
-    same order; None, so the ufunc allocates, for an operand that is not contiguous float64
-    or a result of more than _WORKSPACE_MAX entries."""
+    """out= for an n x n ufunc result that dies with the call: a view of the thread's buffer
+    (grown, never shrunk, kept until the thread ends), so glibc maps no fresh pages on each
+    call, laid out as numpy lays out the result, so reductions add in the same order; None
+    (the ufunc allocates) for an operand not contiguous float64 or over _WORKSPACE_MAX."""
     size, shape = operands[0].size, operands[0].shape
     if size > _WORKSPACE_MAX or not all(x.flags.forc and x.dtype == np.float64 for x in operands):
         return None
     buffer = getattr(_workspace_local, "buffer", None)
     if buffer is None or buffer.size < size:
         buffer = _workspace_local.buffer = np.empty(size)
-    order = "F" if all(x.flags.f_contiguous for x in operands) else "C"
-    return buffer[:size].reshape(shape, order=order)
+    return buffer[:size].reshape(shape, order="F" if all(x.flags.fnc for x in operands) else "C")
 
 
 def _difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x - y, written into the workspace from _WORKSPACE_MIN entries up."""
-    return x - y if x.size < _WORKSPACE_MIN else np.subtract(x, y, out=_workspace(x, y))
+    """x - y in the workspace; below _WORKSPACE_MIN entries emi subtracts inline, saving a call."""
+    return np.subtract(x, y, out=_workspace(x, y))
 
 
 @dataclass(frozen=True)

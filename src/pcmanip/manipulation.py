@@ -29,6 +29,7 @@ from .core import (
     pair_values,
     ranking_of,
     validate_additive,
+    _WORKSPACE_MIN,
     _difference,
 )
 from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
@@ -50,7 +51,8 @@ def emi(a, b) -> float:
     m = max_changed_entries(va.shape[0])
     if m <= 0:
         raise PcmError(f"EMI undefined for n = {va.shape[0]}")
-    return overflow_safe(lambda x, y: np.abs(d := _difference(x, y), out=d).sum() / m, va, vb)
+    return overflow_safe(lambda x, y: np.abs(
+        d := x - y if x.size < _WORKSPACE_MIN else _difference(x, y), out=d).sum() / m, va, vb)
 
 
 @dataclass(frozen=True)

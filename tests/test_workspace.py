@@ -326,6 +326,7 @@ def test_a_result_over_the_cap_is_allocated_and_not_kept(rng):
     thread = threading.Thread(target=run)
     thread.start()
     thread.join(timeout=120)
+    assert not thread.is_alive()
     assert seen["buffer"] is None
     assert seen["keys"] == (_key(ref_validate_multiplicative(m)), _key(ref_validate_additive(a)),
                             _key(ref_gmm_weights(m)), np.float64(ref_emi(a, b)).tobytes())
