@@ -43,22 +43,18 @@ _workspace_local = threading.local()
 
 
 def _workspace(*operands: np.ndarray) -> np.ndarray | None:
-    """out= for an n x n ufunc result that dies with the call: a view of the thread's buffer
-    (grown, never shrunk, kept until the thread ends), so glibc maps no fresh pages on each
-    call, laid out as numpy lays out the result, so reductions add in the same order; None
-    (the ufunc allocates) for an operand not contiguous float64 or over _WORKSPACE_MAX."""
+    """out= for an n x n ufunc temporary; the floor, cap, dtype and layout rules live here alone.
+    None, so the ufunc allocates, below _WORKSPACE_MIN entries, over _WORKSPACE_MAX, or unless all
+    operands are contiguous float64; else a view of the thread's buffer (grown, kept until the
+    thread ends), F-ordered if every operand is, else C: numpy's layout, so sums add alike."""
     size, shape = operands[0].size, operands[0].shape
-    if size > _WORKSPACE_MAX or not all(x.flags.forc and x.dtype == np.float64 for x in operands):
+    if not _WORKSPACE_MIN <= size <= _WORKSPACE_MAX or not all(
+            x.flags.forc and x.dtype == np.float64 for x in operands):
         return None
     buffer = getattr(_workspace_local, "buffer", None)
     if buffer is None or buffer.size < size:
         buffer = _workspace_local.buffer = np.empty(size)
     return buffer[:size].reshape(shape, order="F" if all(x.flags.fnc for x in operands) else "C")
-
-
-def _difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x - y in the workspace; below _WORKSPACE_MIN entries emi subtracts inline, saving a call."""
-    return np.subtract(x, y, out=_workspace(x, y))
 
 
 @dataclass(frozen=True)
@@ -182,8 +178,7 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
     rejected one is scanned row by row, property by property, to name the
     first violation; one whose m_ii^2 alone failed passes there."""
     values = _as_square(matrix)
-    products = (np.multiply(values, values.T, order="C") if values.size < _WORKSPACE_MIN
-                else np.multiply(values, values.T, out=_workspace(values, values.T)))
+    products = np.multiply(values, values.T, out=_workspace(values, values.T), order="C")
     # min and max propagate NaN, so a NaN or inf entry fails here too
     if not (np.minimum.reduce(values, axis=None) > 0
             and np.maximum.reduce(products, axis=None) - 1.0 <= tol.reciprocity
@@ -204,8 +199,7 @@ def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditiveP
     name the first violation; then that the row sums and the gaps between
     them, from which every answer is built, are finite."""
     values = _as_square(matrix)
-    residual = (values + values.T if values.size < _WORKSPACE_MIN
-                else np.add(values, values.T, out=_workspace(values, values.T)))
+    residual = np.add(values, values.T, out=_workspace(values, values.T))
     np.abs(residual, out=residual)
     if not np.maximum.reduce(residual, axis=None) <= tol.antisymmetry:  # NaN and inf fail too
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
@@ -238,8 +232,7 @@ def _row_means(values: np.ndarray) -> np.ndarray:
 def gmm_weights(m: MultiplicativePcm) -> np.ndarray:
     """Geometric mean of each row (computed via logs for stability)."""
     v = m.values
-    logs = np.log(v) if v.size < _WORKSPACE_MIN else np.log(v, out=_workspace(v))
-    return np.exp(_row_means(logs))
+    return np.exp(_row_means(np.log(v, out=_workspace(v))))
 
 
 def additive_weights(a) -> np.ndarray:

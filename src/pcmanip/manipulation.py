@@ -29,8 +29,7 @@ from .core import (
     pair_values,
     ranking_of,
     validate_additive,
-    _WORKSPACE_MIN,
-    _difference,
+    _workspace,
 )
 from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
 from .projection import ProjectionResult, max_changed_entries, project_to_tie, tie_costs
@@ -52,7 +51,7 @@ def emi(a, b) -> float:
     if m <= 0:
         raise PcmError(f"EMI undefined for n = {va.shape[0]}")
     return overflow_safe(lambda x, y: np.abs(
-        d := x - y if x.size < _WORKSPACE_MIN else _difference(x, y), out=d).sum() / m, va, vb)
+        d := np.subtract(x, y, out=_workspace(x, y)), out=d).sum() / m, va, vb)
 
 
 @dataclass(frozen=True)
