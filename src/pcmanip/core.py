@@ -75,8 +75,16 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+def _as_floats(convert, x) -> np.ndarray:
+    try:
+        return convert(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:
+        hint = "additive input needs to_additive first" if isinstance(x, MultiplicativePcm) else e
+        raise PcmError(f"expected an array of numbers, got {type(x).__name__}: {hint}") from None
+
+
 def _as_square(matrix) -> np.ndarray:
-    values = np.array(matrix, dtype=float)
+    values = _as_floats(np.array, matrix)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
         raise NotSquareError(values.shape)
     return values
@@ -109,7 +117,7 @@ def additive_values(a) -> np.ndarray:
     values; a MultiplicativePcm must be converted with to_additive first."""
     if isinstance(a, AdditivePcm):
         return a.values
-    return np.asarray(a, dtype=float)
+    return _as_floats(np.asarray, a)
 
 
 def pair_values(a, pair) -> np.ndarray:

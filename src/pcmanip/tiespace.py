@@ -12,6 +12,7 @@ handled by permutation conjugation in the projection layer.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +35,17 @@ class AlternativePair:
     n: int
 
     def __post_init__(self):
+        for name in ("i", "j", "n"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise PcmError(f"{name} = {getattr(self, name)!r} must be an integer") from None
         if self.n < 2:
             raise PcmError(f"n must be >= 2, got {self.n}")
         if self.i == self.j:
             raise PcmError(f"pair indices must differ, got ({self.i},{self.j})")
         if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise PcmError(
-                f"pair ({self.i},{self.j}) out of range for n = {self.n}"
-            )
+            raise PcmError(f"pair ({self.i},{self.j}) out of range for n = {self.n}")
         if self.i > self.j:
             i, j = self.j, self.i
             object.__setattr__(self, "i", i)
