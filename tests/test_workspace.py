@@ -417,3 +417,30 @@ def test_repeated_large_calls_take_no_fresh_pages():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout.split()[-1]) < 20
+
+
+def test_the_floor_is_decided_by_the_workspace_alone(rng):
+    """In a fresh thread, the validators, gmm_weights and emi keep no buffer
+    at n = 127 (16129 entries, under _WORKSPACE_MIN); at n = 128 they keep
+    one buffer of exactly 128^2 entries, with the same results as before."""
+    inputs = {n: (_multiplicative(rng, n), random_antisymmetric(rng, n),
+                  random_antisymmetric(rng, n)) for n in (127, 128)}
+    seen = {}
+
+    def run(n):
+        m, a, b = inputs[n]
+        mult = validate_multiplicative(m)
+        seen[n] = (_key(mult), _key(validate_additive(a)), _key(gmm_weights(mult)),
+                   np.float64(emi(a, b)).tobytes())
+        seen[n, "buffer"] = _workspace_buffer()
+
+    thread = threading.Thread(target=lambda: (run(127), run(128)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert seen[127, "buffer"] is None
+    assert seen[128, "buffer"] is not None and seen[128, "buffer"].size == 128 ** 2
+    for n in (127, 128):
+        m, a, b = inputs[n]
+        assert seen[n] == (_key(ref_validate_multiplicative(m)), _key(ref_validate_additive(a)),
+                           _key(ref_gmm_weights(m)), np.float64(ref_emi(a, b)).tobytes())
