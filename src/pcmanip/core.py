@@ -42,19 +42,19 @@ _WORKSPACE_MAX = 1 << 20  # entries: 8 MiB, the most a thread keeps (n <= 1024)
 _workspace_local = threading.local()
 
 
-def _workspace(*operands: np.ndarray) -> np.ndarray | None:
+def _workspace(*xs: np.ndarray) -> np.ndarray | None:
     """out= for an n x n ufunc temporary; the floor, cap, dtype and layout rules live here alone.
     None, so the ufunc allocates, below _WORKSPACE_MIN entries, over _WORKSPACE_MAX, or unless all
-    operands are contiguous float64; else a view of the thread's buffer (grown, kept until the
+    operands xs are contiguous float64; else a view of the thread's buffer (grown, kept until the
     thread ends), F-ordered if every operand is, else C: numpy's layout, so sums add alike."""
-    size, shape = operands[0].size, operands[0].shape
+    size = xs[0].size  # alone before the floor test: most calls end there
     if not _WORKSPACE_MIN <= size <= _WORKSPACE_MAX or not all(
-            x.flags.forc and x.dtype == np.float64 for x in operands):
+            x.flags.forc and x.dtype == np.float64 for x in xs):
         return None
     buffer = getattr(_workspace_local, "buffer", None)
     if buffer is None or buffer.size < size:
         buffer = _workspace_local.buffer = np.empty(size)
-    return buffer[:size].reshape(shape, order="F" if all(x.flags.fnc for x in operands) else "C")
+    return buffer[:size].reshape(xs[0].shape, order="F" if all(x.flags.fnc for x in xs) else "C")
 
 
 @dataclass(frozen=True)
