@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     AdditivePcm,
+    DEFAULT_TOLERANCES,
     Tolerances,
     additive_weights,
     gmm_weights,
@@ -394,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV input has a header row of alternative names")
         p.add_argument("--output", choices=("text", "json", "csv"),
                        default="text", help="report format")
-        p.add_argument("--tol-reciprocity", type=float, default=1e-8)
-        p.add_argument("--tol-antisymmetry", type=float, default=1e-9)
-        p.add_argument("--tol-tie", type=float, default=1e-9)
+        p.add_argument("--tol-reciprocity", type=float, default=DEFAULT_TOLERANCES.reciprocity)
+        p.add_argument("--tol-antisymmetry", type=float, default=DEFAULT_TOLERANCES.antisymmetry)
+        p.add_argument("--tol-tie", type=float, default=DEFAULT_TOLERANCES.ranking_tie)
         if pair:
             p.add_argument("--pair", nargs=2, type=int, required=True,
                            metavar=("I", "J"),

@@ -66,9 +66,12 @@ class Tolerances:
     ranking_tie: float = 1e-9
 
     def __post_init__(self):
-        for name in ("reciprocity", "antisymmetry", "ranking_tie"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:  # also false for NaN
+        for name, value in vars(self).items():
+            try:
+                valid = 0 < value < np.inf  # also false for NaN
+            except (TypeError, ValueError):  # and for a value that is not a real number
+                valid = False
+            if not valid:
                 raise PcmError(f"tolerance {name} must be positive and finite, got {value}")
 
 
@@ -79,7 +82,7 @@ def _as_floats(convert, x) -> np.ndarray:
     try:
         return convert(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:
-        hint = "additive input needs to_additive first" if isinstance(x, MultiplicativePcm) else e
+        hint = x._hint if isinstance(x, _Pcm) else e  # the other scale's type: name its conversion
         raise PcmError(f"expected an array of numbers, got {type(x).__name__}: {hint}") from None
 
 
@@ -91,33 +94,30 @@ def _as_square(matrix) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MultiplicativePcm:
+class _Pcm:
+    """A pairwise comparison matrix that passed its scale's validator."""
+
+    values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+
+class MultiplicativePcm(_Pcm):
     """A validated multiplicative pairwise comparison matrix."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
+    _hint = "additive input needs to_additive first"
 
 
-@dataclass(frozen=True)
-class AdditivePcm:
+class AdditivePcm(_Pcm):
     """A validated additive (antisymmetric) pairwise comparison matrix."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
+    _hint = "multiplicative input needs to_multiplicative first"
 
 
 def additive_values(a) -> np.ndarray:
     """The entries of an AdditivePcm, or an array-like read as additive
     values; a MultiplicativePcm must be converted with to_additive first."""
-    if isinstance(a, AdditivePcm):
-        return a.values
-    return _as_floats(np.asarray, a)
+    return a.values if isinstance(a, AdditivePcm) else _as_floats(np.asarray, a)
 
 
 def pair_values(a, pair) -> np.ndarray:
@@ -177,14 +177,17 @@ def _raise_first(mask: np.ndarray, error, values: np.ndarray, upper: bool = Fals
         raise error(int(i) + 1, int(j) + 1, values[i, j])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf * 0 or an overflow fails acceptance
 def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> MultiplicativePcm:
-    """Check finiteness, positivity, unit diagonal and reciprocity; never
-    mutates input.  A matrix is accepted from the range of m_ij * m_ji:
-    positive entries whose products all lie within tol of 1 pass, which
-    decides reciprocity exactly and implies |m_ii - 1| <= tol.  Only a
-    rejected one is scanned row by row, property by property, to name the
-    first violation; one whose m_ii^2 alone failed passes there."""
+    """A MultiplicativePcm as it is; anything else checked for finiteness, positivity, unit
+    diagonal and reciprocity, never mutated.  A matrix is accepted from the range of m_ij * m_ji:
+    positive entries whose products all lie within tol of 1 pass, which decides reciprocity exactly
+    and implies |m_ii - 1| <= tol.  Only a rejected one is scanned row by row, property by
+    property, to name the first violation; one whose m_ii^2 alone failed passes there."""
+    return matrix if isinstance(matrix, MultiplicativePcm) else _check_multiplicative(matrix, tol)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf * 0 or an overflow fails acceptance
+def _check_multiplicative(matrix, tol: Tolerances) -> MultiplicativePcm:
     values = _as_square(matrix)
     products = np.multiply(values, values.T, out=_workspace(values, values.T), order="C")
     # min and max propagate NaN, so a NaN or inf entry fails here too
@@ -200,12 +203,15 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
     return MultiplicativePcm(values)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite results fail below
 def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditivePcm:
-    """Check finiteness and antisymmetry (which covers the zero diagonal)
-    in one fused pass, scanning row by row, property by property, only to
-    name the first violation; then that the row sums and the gaps between
-    them, from which every answer is built, are finite."""
+    """An AdditivePcm as it is; anything else checked for finiteness and antisymmetry (which covers
+    the zero diagonal) in one fused pass, scanning row by row, property by property, only to name
+    the first violation; then that the row sums and their gaps, all answers' inputs, are finite."""
+    return matrix if isinstance(matrix, AdditivePcm) else _check_additive(matrix, tol)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results fail below
+def _check_additive(matrix, tol: Tolerances) -> AdditivePcm:
     values = _as_square(matrix)
     residual = np.add(values, values.T, out=_workspace(values, values.T))
     np.abs(residual, out=residual)
@@ -220,14 +226,14 @@ def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditiveP
     return AdditivePcm(values)
 
 
-def to_additive(m: MultiplicativePcm) -> AdditivePcm:
-    """Entry-wise natural logarithm."""
-    return AdditivePcm(np.log(m.values))
+def to_additive(m) -> AdditivePcm:
+    """Entry-wise natural logarithm of validate_multiplicative(m)."""
+    return AdditivePcm(np.log(validate_multiplicative(m).values))
 
 
 def to_multiplicative(a) -> MultiplicativePcm:
-    """Entry-wise exponential; an array-like must pass validate_additive."""
-    values = a.values if isinstance(a, AdditivePcm) else validate_additive(a).values
+    """Entry-wise exponential of validate_additive(a)."""
+    values = validate_additive(a).values
     _raise_first(np.abs(values) >= _MAX_EXP, OverflowDomainError, values)
     return MultiplicativePcm(np.exp(values))
 
@@ -237,9 +243,9 @@ def _row_means(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(values, axis=1) / values.shape[1]
 
 
-def gmm_weights(m: MultiplicativePcm) -> np.ndarray:
-    """Geometric mean of each row (computed via logs for stability)."""
-    v = m.values
+def gmm_weights(m) -> np.ndarray:
+    """Geometric mean of each row of validate_multiplicative(m), via logs for stability."""
+    v = validate_multiplicative(m).values
     return np.exp(_row_means(np.log(v, out=_workspace(v))))
 
 
@@ -251,7 +257,8 @@ def additive_weights(a) -> np.ndarray:
 @np.errstate(over="ignore")  # a sum that overflows is redone below
 def normalize_weights(w) -> np.ndarray:
     """Scale a positive, finite weight vector to sum to one."""
-    w = np.asarray(w, dtype=float)
+    if (w := _as_floats(np.asarray, w)).ndim != 1:
+        raise PcmError(f"expected a vector of weights, got shape {w.shape}")
     bad = np.flatnonzero(~((0 < w) & (w < np.inf)))  # NaN fails both
     if bad.size:
         raise NonPositiveWeightError(int(bad[0]) + 1, w[bad[0]])
@@ -268,7 +275,8 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     Grouping chains: consecutive weights within the tie tolerance join
     the same group.  Within a group, indices ascend.
     """
-    w = np.asarray(weights, dtype=float)
+    if (w := _as_floats(np.asarray, weights)).ndim != 1:
+        raise PcmError(f"expected a vector of weights, got shape {w.shape}")
     order = np.lexsort((np.arange(len(w)), -w))  # the key (-w[k], k)
     ws = w[order]
     ks = (order + 1).tolist()

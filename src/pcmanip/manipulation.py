@@ -113,7 +113,11 @@ def tip_pair(projection: ProjectionResult, winner: int, delta: float = DEFAULT_D
     pair = projection.pair
     if winner not in (pair.i, pair.j):
         raise InvalidWinnerError(winner, pair.i, pair.j)
-    if not 0 < delta < np.inf:  # also false for NaN
+    try:
+        valid = 0 < delta < np.inf  # also false for NaN
+    except (TypeError, ValueError):  # and for a value that is not a real number
+        valid = False
+    if not valid:
         raise NonPositiveDeltaError(delta)
     i, j = pair.i - 1, pair.j - 1
     shift = float(delta) if winner == pair.i else -float(delta)

@@ -206,6 +206,7 @@ def _tie_projection(values: np.ndarray, pair: AlternativePair, f: float) -> np.n
 
 
 def hyperplane_oracle_project(a, pair: AlternativePair) -> AdditivePcm:
-    """Closed-form projection: A - (f/n) * N with f the row-sum gap and
-    N the tie normal matrix.  Valid for every pair, including j = n."""
-    return AdditivePcm(_tie_projection(pair_values(a, pair), pair, tie_gap(a, pair)))
+    """Closed-form projection of validate_additive(a): A - (f/n) * N with f the
+    row-sum gap and N the tie normal matrix.  Valid for every pair, including j = n."""
+    values = pair_values(validate_additive(a), pair)
+    return AdditivePcm(_tie_projection(values, pair, tie_gap(values, pair)))

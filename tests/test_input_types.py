@@ -1,29 +1,44 @@
 """Inputs of the wrong type get a PcmError, not numpy's TypeError,
 ValueError or IndexError: a pair index or size that is not an integer,
-and a matrix numpy cannot read as float64 numbers.  A MultiplicativePcm
-given where additive values are expected is told to convert with
-to_additive first."""
+a matrix numpy cannot read as float64 numbers, a weight vector that is
+not one, and a tolerance or delta that is not a real number.  A
+MultiplicativePcm given where additive values are expected is told to
+convert with to_additive first, and an AdditivePcm given where
+multiplicative values are expected with to_multiplicative.
+
+The validators are the one door into a validated PCM: each returns its
+own type as it is, and every function that needs a valid matrix reads
+its input through one of them."""
 
 import numpy as np
 import pytest
 
+import pcmanip.core
+import pcmanip.projection
 from pcmanip import (
     AdditivePcm,
     AlternativePair,
+    MultiplicativePcm,
+    Tolerances,
     abs_difference,
     additive_weights,
     emi,
     frobenius_distance,
     frobenius_norm,
+    gmm_weights,
+    hyperplane_oracle_project,
+    normalize_weights,
     project_to_tie,
+    ranking_of,
     scan_all_pairs,
     tie_gap,
+    tip_pair,
     to_additive,
     to_multiplicative,
     validate_additive,
     validate_multiplicative,
 )
-from pcmanip.errors import PcmError
+from pcmanip.errors import NonPositiveDeltaError, PcmError
 
 from refdata import EXAMPLE_A
 
@@ -92,3 +107,120 @@ NOT_NUMBERS = {
 def test_a_matrix_that_is_not_numbers_is_a_pcm_error(call, matrix):
     with pytest.raises(PcmError, match="expected an array of numbers, got list"):
         call(NOT_NUMBERS[matrix])
+
+
+pytestmark = pytest.mark.filterwarnings("error")
+
+EXAMPLE_M = np.exp(EXAMPLE_A)
+NOT_ANTISYMMETRIC = np.arange(16.0).reshape(4, 4)  # unchecked, as no validator would pass it
+
+
+@pytest.mark.parametrize("validator, pcm, body", [
+    (validate_additive, AdditivePcm(NOT_ANTISYMMETRIC), "_check_additive"),
+    (validate_multiplicative, MultiplicativePcm(NOT_ANTISYMMETRIC), "_check_multiplicative"),
+])
+def test_a_validator_returns_its_own_type_without_checking_it(validator, pcm, body, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{body} ran for a {type(pcm).__name__}")
+
+    monkeypatch.setattr(pcmanip.core, body, forbidden)
+    assert validator(pcm) is pcm
+    assert validator(pcm, Tolerances(1e-3, 1e-3, 1e-3)) is pcm
+
+
+# each function that needs a valid matrix, the validator it reads its input through,
+# the scale it reads, and what a wrong PCM type is told to convert with
+NEEDS_VALID = {
+    "to_additive": (to_additive, "validate_multiplicative", EXAMPLE_M, "to_multiplicative"),
+    "gmm_weights": (gmm_weights, "validate_multiplicative", EXAMPLE_M, "to_multiplicative"),
+    "to_multiplicative": (to_multiplicative, "validate_additive", EXAMPLE_A, "to_additive"),
+    "hyperplane_oracle_project": (lambda a: hyperplane_oracle_project(a, PAIR),
+                                  "validate_additive", EXAMPLE_A, "to_additive"),
+}
+PCM_TYPES = {"validate_additive": AdditivePcm, "validate_multiplicative": MultiplicativePcm}
+
+
+def _values(result):
+    return getattr(result, "values", result)
+
+
+@pytest.mark.parametrize("name", NEEDS_VALID)
+def test_every_function_that_needs_a_valid_matrix_reads_it_through_its_validator(
+        name, monkeypatch):
+    call, validator, valid, _ = NEEDS_VALID[name]
+    pcm = PCM_TYPES[validator](valid.copy())
+    seen = []
+    real = getattr(pcmanip.core, validator)
+
+    def spy(matrix, *args, **kwargs):
+        seen.append(matrix)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(pcmanip.core, validator, spy)
+    monkeypatch.setattr(pcmanip.projection, "validate_additive", spy)
+    call(pcm)
+    assert len(seen) == 1 and seen[0] is pcm
+
+
+@pytest.mark.parametrize("name", NEEDS_VALID)
+def test_a_valid_array_gives_the_bytes_of_validating_it_first(name):
+    call, validator, valid, _ = NEEDS_VALID[name]
+    first = getattr(pcmanip.core, validator)(valid.copy())
+    assert _values(call(valid.copy())).tobytes() == _values(call(first)).tobytes()
+
+
+def _broken(name):
+    """The function's valid input with one entry (2,4) that its validator rejects."""
+    broken = NEEDS_VALID[name][2].copy()
+    broken[1, 3] = broken[1, 3] * 2 + 1
+    return broken
+
+
+@pytest.mark.parametrize("name", NEEDS_VALID)
+def test_an_invalid_array_raises_the_validators_error_at_its_location(name):
+    call, validator, _, _ = NEEDS_VALID[name]
+    with pytest.raises(PcmError) as expected:
+        getattr(pcmanip.core, validator)(_broken(name))
+    with pytest.raises(type(expected.value)) as got:
+        call(_broken(name))
+    assert (got.value.i, got.value.j) == (expected.value.i, expected.value.j) == (2, 4)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("name", NEEDS_VALID)
+def test_the_other_pcm_type_is_told_which_conversion_to_use(name):
+    call, validator, _, conversion = NEEDS_VALID[name]
+    other = MultiplicativePcm if validator == "validate_additive" else AdditivePcm
+    with pytest.raises(PcmError, match=f"got {other.__name__}: .*{conversion} first"):
+        call(other(EXAMPLE_A.copy()))
+
+
+NOT_A_VECTOR = {
+    "strings": (["x", "y"], "expected an array of numbers, got list"),
+    "matrix": ([[1.0, 2.0], [3.0, 4.0]], r"expected a vector of weights, got shape \(2, 2\)"),
+    "scalar": (2.0, r"expected a vector of weights, got shape \(\)"),
+}
+
+
+@pytest.mark.parametrize("weights", NOT_A_VECTOR)
+@pytest.mark.parametrize("call", [ranking_of, normalize_weights])
+def test_a_weight_vector_that_is_not_one_is_a_pcm_error(call, weights):
+    w, message = NOT_A_VECTOR[weights]
+    with pytest.raises(PcmError, match=message):
+        call(w)
+
+
+NOT_REAL = ["x", None, 1j, [1e-3], np.array([1e-3, 1e-3])]
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+@pytest.mark.parametrize("field", ["reciprocity", "antisymmetry", "ranking_tie"])
+def test_a_tolerance_that_is_not_a_real_number_fails_the_range_check(field, value):
+    with pytest.raises(PcmError, match=f"tolerance {field} must be positive and finite"):
+        Tolerances(**{field: value})
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+def test_a_delta_that_is_not_a_real_number_fails_the_range_check(value):
+    with pytest.raises(NonPositiveDeltaError, match="delta must be positive and finite"):
+        tip_pair(project_to_tie(EXAMPLE_A, PAIR), 1, delta=value)
