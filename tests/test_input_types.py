@@ -112,12 +112,12 @@ def test_a_matrix_that_is_not_numbers_is_a_pcm_error(call, matrix):
 pytestmark = pytest.mark.filterwarnings("error")
 
 EXAMPLE_M = np.exp(EXAMPLE_A)
-NOT_ANTISYMMETRIC = np.arange(16.0).reshape(4, 4)  # unchecked, as no validator would pass it
+UNCHECKED = np.arange(16.0).reshape(4, 4)  # neither validator would pass it
 
 
 @pytest.mark.parametrize("validator, pcm, body", [
-    (validate_additive, AdditivePcm(NOT_ANTISYMMETRIC), "_check_additive"),
-    (validate_multiplicative, MultiplicativePcm(NOT_ANTISYMMETRIC), "_check_multiplicative"),
+    (validate_additive, AdditivePcm(UNCHECKED), "_check_additive"),
+    (validate_multiplicative, MultiplicativePcm(UNCHECKED), "_check_multiplicative"),
 ])
 def test_a_validator_returns_its_own_type_without_checking_it(validator, pcm, body, monkeypatch):
     def forbidden(*args, **kwargs):
