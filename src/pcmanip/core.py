@@ -57,6 +57,14 @@ def _workspace(*xs: np.ndarray) -> np.ndarray | None:
     return buffer[:size].reshape(xs[0].shape, order="F" if all(x.flags.fnc for x in xs) else "C")
 
 
+def _positive_finite(value) -> bool:
+    """0 < value < inf: false for NaN, and for a value that is not a real number."""
+    try:
+        return 0 < value < np.inf
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances used by validators and ranking ties."""
@@ -67,22 +75,18 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            try:
-                valid = 0 < value < np.inf  # also false for NaN
-            except (TypeError, ValueError):  # and for a value that is not a real number
-                valid = False
-            if not valid:
+            if not _positive_finite(value):
                 raise PcmError(f"tolerance {name} must be positive and finite, got {value}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _as_floats(convert, x) -> np.ndarray:
+def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
     try:
         return convert(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:
-        hint = x._hint if isinstance(x, _Pcm) else e  # the other scale's type: name its conversion
+        hint = x._hint if isinstance(x, _Pcm) and not vector else e  # a matrix: name its conversion
         raise PcmError(f"expected an array of numbers, got {type(x).__name__}: {hint}") from None
 
 
@@ -257,7 +261,7 @@ def additive_weights(a) -> np.ndarray:
 @np.errstate(over="ignore")  # a sum that overflows is redone below
 def normalize_weights(w) -> np.ndarray:
     """Scale a positive, finite weight vector to sum to one."""
-    if (w := _as_floats(np.asarray, w)).ndim != 1:
+    if (w := _as_floats(np.asarray, w, vector=True)).ndim != 1:
         raise PcmError(f"expected a vector of weights, got shape {w.shape}")
     bad = np.flatnonzero(~((0 < w) & (w < np.inf)))  # NaN fails both
     if bad.size:
@@ -275,7 +279,7 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     Grouping chains: consecutive weights within the tie tolerance join
     the same group.  Within a group, indices ascend.
     """
-    if (w := _as_floats(np.asarray, weights)).ndim != 1:
+    if (w := _as_floats(np.asarray, weights, vector=True)).ndim != 1:
         raise PcmError(f"expected a vector of weights, got shape {w.shape}")
     order = np.lexsort((np.arange(len(w)), -w))  # the key (-w[k], k)
     ws = w[order]

@@ -29,6 +29,7 @@ from .core import (
     pair_values,
     ranking_of,
     validate_additive,
+    _positive_finite,
     _workspace,
 )
 from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
@@ -113,11 +114,7 @@ def tip_pair(projection: ProjectionResult, winner: int, delta: float = DEFAULT_D
     pair = projection.pair
     if winner not in (pair.i, pair.j):
         raise InvalidWinnerError(winner, pair.i, pair.j)
-    try:
-        valid = 0 < delta < np.inf  # also false for NaN
-    except (TypeError, ValueError):  # and for a value that is not a real number
-        valid = False
-    if not valid:
+    if not _positive_finite(delta):
         raise NonPositiveDeltaError(delta)
     i, j = pair.i - 1, pair.j - 1
     shift = float(delta) if winner == pair.i else -float(delta)
@@ -161,10 +158,10 @@ def scan_all_pairs(a) -> PairScanTable:
     Both costs of pair (i, j) follow from f = s_i - s_j, the gap between
     the pair's row sums (see tie_costs), so one pass over the row sums
     serves all pairs.  The rows come sorted by EMI ascending, with ties
-    in (i, j) order, so the result is deterministic.  An AdditivePcm is
-    trusted; anything else is validated as one first.
+    in (i, j) order, so the result is deterministic.  The matrix is read
+    through validate_additive.
     """
-    values = (a if isinstance(a, AdditivePcm) else validate_additive(a)).values
+    values = validate_additive(a).values
     n = values.shape[0]
     if n < 3:
         raise PcmError(f"scan requires n >= 3, got {n}")

@@ -132,8 +132,7 @@ def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair,
     perm = list(range(n))
     perm[k - 1], perm[n - 1] = perm[n - 1], perm[k - 1]
     relabeling = Relabeling(tuple(perm))
-    new_i, new_j = sorted((pair.i, k))
-    return relabeling.apply(values), AlternativePair(new_i, new_j, n), relabeling
+    return relabeling.apply(values), AlternativePair(pair.i, k, n), relabeling  # which sorts i, k
 
 
 def _reference_expansion(values: np.ndarray, pair: AlternativePair):
@@ -166,10 +165,9 @@ def tie_costs(f, n: int) -> tuple:
 
 
 def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
-    """Closest matrix to A (Frobenius) whose weights tie the given pair.
-    An AdditivePcm is trusted; anything else is validated as one first.
+    """Closest matrix to validate_additive(a) (Frobenius) whose weights tie the given pair.
     A copy of the input is kept, so later changes to it do not leak in."""
-    original = (a if isinstance(a, AdditivePcm) else validate_additive(a)).values.copy()
+    original = validate_additive(a).values.copy()
     f = tie_gap(original, pair)
     return ProjectionResult(
         original=AdditivePcm(original),
@@ -208,5 +206,5 @@ def _tie_projection(values: np.ndarray, pair: AlternativePair, f: float) -> np.n
 def hyperplane_oracle_project(a, pair: AlternativePair) -> AdditivePcm:
     """Closed-form projection of validate_additive(a): A - (f/n) * N with f the
     row-sum gap and N the tie normal matrix.  Valid for every pair, including j = n."""
-    values = pair_values(validate_additive(a), pair)
+    values = validate_additive(a).values  # tie_gap checks the shape
     return AdditivePcm(_tie_projection(values, pair, tie_gap(values, pair)))

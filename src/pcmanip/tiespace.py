@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import pair_values
+from .core import DEFAULT_TOLERANCES, _positive_finite, pair_values
 from .errors import ParamOutOfRangeError, PairRequiresRelabelingError, PcmError
 
 GeneratorLabel = tuple[str, tuple[int, ...]]
@@ -160,8 +160,10 @@ def tie_basis(pair: AlternativePair) -> TieBasis:
     return TieBasis(pair, matrices, tuple(labels))
 
 
-def is_tie_equating(a, pair: AlternativePair, tol: float = 1e-9) -> bool:
-    """True iff the row sums of alternatives i and j agree within tol*n."""
+def is_tie_equating(a, pair: AlternativePair, tol: float = DEFAULT_TOLERANCES.ranking_tie) -> bool:
+    """True iff the row sums of i and j agree within tol*n, that is their weights within tol."""
+    if not _positive_finite(tol):
+        raise PcmError(f"tolerance tol must be positive and finite, got {tol}")
     return bool(abs(tie_gap(a, pair)) <= tol * pair.n)
 
 

@@ -4,11 +4,16 @@ a matrix numpy cannot read as float64 numbers, a weight vector that is
 not one, and a tolerance or delta that is not a real number.  A
 MultiplicativePcm given where additive values are expected is told to
 convert with to_additive first, and an AdditivePcm given where
-multiplicative values are expected with to_multiplicative.
+multiplicative values are expected with to_multiplicative; a PCM given
+as a weight vector is told no conversion.  Every value that must be
+positive and finite (a tolerance, a tip delta, is_tie_equating's tol)
+is read by one predicate, so one table holds for all of them.
 
 The validators are the one door into a validated PCM: each returns its
 own type as it is, and every function that needs a valid matrix reads
 its input through one of them."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ import pytest
 import pcmanip.core
 import pcmanip.projection
 from pcmanip import (
+    DEFAULT_TOLERANCES,
     AdditivePcm,
     AlternativePair,
     MultiplicativePcm,
@@ -27,7 +33,9 @@ from pcmanip import (
     frobenius_norm,
     gmm_weights,
     hyperplane_oracle_project,
+    is_tie_equating,
     normalize_weights,
+    pair_report,
     project_to_tie,
     ranking_of,
     scan_all_pairs,
@@ -37,6 +45,7 @@ from pcmanip import (
     to_multiplicative,
     validate_additive,
     validate_multiplicative,
+    verify_manipulation,
 )
 from pcmanip.errors import NonPositiveDeltaError, PcmError
 
@@ -224,3 +233,71 @@ def test_a_tolerance_that_is_not_a_real_number_fails_the_range_check(field, valu
 def test_a_delta_that_is_not_a_real_number_fails_the_range_check(value):
     with pytest.raises(NonPositiveDeltaError, match="delta must be positive and finite"):
         tip_pair(project_to_tie(EXAMPLE_A, PAIR), 1, delta=value)
+
+
+READ_THROUGH_VALIDATE_ADDITIVE = {
+    "project_to_tie": lambda a: project_to_tie(a, PAIR),
+    "pair_report": lambda a: pair_report(a, PAIR),
+    "scan_all_pairs": scan_all_pairs,
+}
+
+
+@pytest.mark.parametrize("name", READ_THROUGH_VALIDATE_ADDITIVE)
+def test_an_additive_pcm_goes_through_validate_additive_once(name, monkeypatch):
+    pcm = AdditivePcm(EXAMPLE_A.copy())
+    seen = []
+    real = pcmanip.core.validate_additive
+
+    def spy(matrix, *args, **kwargs):
+        seen.append(matrix)
+        return real(matrix, *args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "pcmanip" and hasattr(module, "validate_additive"):
+            monkeypatch.setattr(module, "validate_additive", spy)
+    READ_THROUGH_VALIDATE_ADDITIVE[name](pcm)
+    assert len(seen) == 1 and seen[0] is pcm
+
+
+@pytest.mark.parametrize("pcm", [AdditivePcm(np.zeros((3, 3))), MultiplicativePcm(np.ones((3, 3)))],
+                         ids=lambda pcm: type(pcm).__name__)
+@pytest.mark.parametrize("call", [ranking_of, normalize_weights])
+def test_a_pcm_given_as_weights_is_named_and_told_no_conversion(call, pcm):
+    with pytest.raises(PcmError, match=f"got {type(pcm).__name__}") as info:
+        call(pcm)
+    assert "to_additive" not in str(info.value) and "to_multiplicative" not in str(info.value)
+
+
+NOT_POSITIVE_FINITE = [0, -1, float("nan"), float("inf"), -float("inf"), *NOT_REAL]
+POSITIVE_FINITE = [1e-12, 1, np.float64(0.5)]
+
+# every value that must be positive and finite, as a call that reads it
+POSITIVE_FINITE_RULES = {
+    "reciprocity": lambda value: Tolerances(reciprocity=value),
+    "antisymmetry": lambda value: Tolerances(antisymmetry=value),
+    "ranking_tie": lambda value: Tolerances(ranking_tie=value),
+    "tip delta": lambda value: tip_pair(project_to_tie(EXAMPLE_A, PAIR), 1, delta=value),
+    "is_tie_equating tol": lambda value: is_tie_equating(EXAMPLE_A, PAIR, tol=value),
+}
+
+
+@pytest.mark.parametrize("value", NOT_POSITIVE_FINITE, ids=repr)
+@pytest.mark.parametrize("rule", POSITIVE_FINITE_RULES)
+def test_every_positive_finite_rule_rejects_the_same_values(rule, value):
+    with pytest.raises(PcmError, match="must be positive and finite"):
+        POSITIVE_FINITE_RULES[rule](value)
+
+
+@pytest.mark.parametrize("value", POSITIVE_FINITE, ids=repr)
+@pytest.mark.parametrize("rule", POSITIVE_FINITE_RULES)
+def test_every_positive_finite_rule_accepts_the_same_values(rule, value):
+    POSITIVE_FINITE_RULES[rule](value)
+
+
+@pytest.mark.parametrize("apart, tied", [(0.5, True), (2.0, False)])
+def test_is_tie_equating_by_default_agrees_with_verify_manipulation(apart, tied):
+    w = np.array([apart * DEFAULT_TOLERANCES.ranking_tie, 0.0, 0.0, 0.0])
+    a = np.subtract.outer(w, w)  # a_ij = w_i - w_j: weights w up to a shift
+    pair = AlternativePair(1, 2, 4)
+    assert is_tie_equating(a, pair) is tied
+    assert verify_manipulation(a, a, pair, winner=1).winner_leads is not tied

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-import pcmanip.manipulation
-import pcmanip.projection
+import pcmanip.core
 from pcmanip import (
     AdditivePcm,
     AlternativePair,
@@ -321,8 +320,7 @@ def test_additive_pcm_is_trusted(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an AdditivePcm was validated again")
 
-    for module in (pcmanip.manipulation, pcmanip.projection):
-        monkeypatch.setattr(module, "validate_additive", forbidden)
+    monkeypatch.setattr(pcmanip.core, "_check_additive", forbidden)
     a = AdditivePcm(EXAMPLE_A)
     assert project_to_tie(a, EXAMPLE_PAIR).distance == pytest.approx(15 / np.sqrt(5))
     assert len(scan_all_pairs(a).rows) == 10
