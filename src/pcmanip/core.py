@@ -58,9 +58,9 @@ def _workspace(*xs: np.ndarray) -> np.ndarray | None:
 
 
 def _positive_finite(value) -> bool:
-    """0 < value < inf: false for NaN, and for a value that is not a real number."""
-    try:
-        return 0 < value < np.inf
+    """0 < value < inf: false for NaN, an array that is not 0-d, or a value that is not real."""
+    try:  # getattr, not np.ndim, which costs 2 us for a float; a list fails the comparison
+        return getattr(value, "ndim", 0) == 0 and 0 < value < np.inf
     except (TypeError, ValueError):
         return False
 
@@ -242,20 +242,15 @@ def to_multiplicative(a) -> MultiplicativePcm:
     return MultiplicativePcm(np.exp(values))
 
 
-def _row_means(values: np.ndarray) -> np.ndarray:
-    """np.mean(values, axis=1) bit for bit, without its Python-level wrapper."""
-    return np.add.reduce(values, axis=1) / values.shape[1]
-
-
 def gmm_weights(m) -> np.ndarray:
-    """Geometric mean of each row of validate_multiplicative(m), via logs for stability."""
-    v = validate_multiplicative(m).values
-    return np.exp(_row_means(np.log(v, out=_workspace(v))))
+    """Geometric mean of each row of validate_multiplicative(m): exp of the additive weights."""
+    return np.exp(additive_weights(to_additive(m)))
 
 
 def additive_weights(a) -> np.ndarray:
-    """Arithmetic mean of each row."""
-    return _row_means(additive_values(a))
+    """Row means: np.mean(values, axis=1) bit for bit, without its Python-level wrapper."""
+    values = additive_values(a)
+    return np.add.reduce(values, axis=1) / values.shape[1]
 
 
 @np.errstate(over="ignore")  # a sum that overflows is redone below
@@ -292,16 +287,16 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
 def frobenius_inner(a, b) -> float:
     """Entry-wise product sum of two equally sized matrices."""
     va, vb = matched_values(a, b)
-    return float(np.sum(va * vb))
+    return overflow_safe(lambda x: np.add.reduce(x * vb, None), va)  # bilinear: scale va alone
 
 
-@np.errstate(over="ignore")  # as a decorator it costs half as much as a with block
+@np.errstate(over="ignore", invalid="ignore")  # a decorator costs half what a with block does
 def overflow_safe(reduce, *arrays) -> float:
-    """reduce(*arrays) for a reduce that scales with its arguments; only a
-    result that overflows is redone on the arrays scaled exactly by a
-    power of two, so every result that fits in float64 keeps its bits."""
+    """reduce(*arrays) for a reduce that scales with its arguments; only a result
+    that overflows (inf, or NaN from inf - inf) is redone on the arrays scaled
+    exactly by a power of two, so every result that fits in float64 keeps its bits."""
     result = reduce(*arrays)
-    if math.isinf(result):
+    if not math.isfinite(result):
         e = np.frexp(max(np.abs(x).max() for x in arrays))[1]
         result = np.ldexp(reduce(*(np.ldexp(x, -e) for x in arrays)), e)
     return float(result)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,23 @@ class TestFrobenius:
 
     def test_h5_squared_norm(self):
         assert frobenius_inner(EXAMPLE_H5, EXAMPLE_H5) == pytest.approx(3.0, abs=1e-12)
+
+    def test_inner_of_overflowing_products_with_a_finite_sum(self):
+        # the products are beyond float64, their sums are not
+        a = M([[0, 1e200], [-1e200, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius_inner(a, M([[0, 1e200], [1e200, 0]])) == 0.0
+            assert frobenius_inner(a, M([[0, 2e108], [1e108, 0]])) == pytest.approx(1e308)
+            assert frobenius_inner(a, a) == np.inf
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_inner_keeps_the_bits_of_np_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        a, b = (rng.standard_normal((n, n)) * 10.0 ** rng.integers(-150, 150) for _ in "ab")
+        assert np.float64(frobenius_inner(a, b)).tobytes() == np.sum(a * b).tobytes()
 
     def test_family_distance(self):
         for k in range(1, 11):

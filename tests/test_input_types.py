@@ -219,7 +219,7 @@ def test_a_weight_vector_that_is_not_one_is_a_pcm_error(call, weights):
         call(w)
 
 
-NOT_REAL = ["x", None, 1j, [1e-3], np.array([1e-3, 1e-3])]
+NOT_REAL = ["x", None, 1j, [1e-3], np.array([1e-3]), np.array([1e-3, 1e-3])]
 
 
 @pytest.mark.parametrize("value", NOT_REAL, ids=repr)

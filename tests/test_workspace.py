@@ -253,6 +253,24 @@ def test_gmm_weights_matches_allocating_formula(n, order, rng):
         assert_no_alias(got)
 
 
+GMM_LAYOUTS = {"C": lambda v: v, "F": np.asfortranarray, "reversed": lambda v: v[::-1, ::-1]}
+
+
+@pytest.mark.parametrize("layout", GMM_LAYOUTS)
+@pytest.mark.parametrize("n", [*range(2, 21), 1025])
+def test_gmm_weights_is_exp_of_the_additive_weights(n, layout, rng):
+    """gmm_weights reads its log through to_additive and its row means through
+    additive_weights; it must keep the bytes of taking both itself, below the
+    floor and over the cap, for a MultiplicativePcm and for a raw array (whose
+    log is taken of the validator's copy)."""
+    def own_log_and_means(v):
+        return np.exp(np.add.reduce(np.log(v), axis=1) / v.shape[1])
+
+    v = GMM_LAYOUTS[layout](validate_multiplicative(_multiplicative(rng, n)).values)
+    assert _key(gmm_weights(pcmanip.MultiplicativePcm(v))) == _key(own_log_and_means(v))
+    assert _key(gmm_weights(v)) == _key(own_log_and_means(np.array(v)))
+
+
 @pytest.mark.parametrize("layout", PAIR_LAYOUTS)
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("big", [False, True])
