@@ -234,8 +234,8 @@ def _render(args, out, payload, lines, rows=None, code=EXIT_OK) -> int:
     """Print one report in the format args.output names; return code.
 
     Each part is a zero-argument callable and only the chosen one runs,
-    so project's CSV never builds the basis its coefficients need.  A
-    report without CSV rows prints its text lines instead.
+    so project's CSV never computes the coefficients its text and JSON
+    print.  A report without CSV rows prints its text lines instead.
     """
     if args.output == "json":
         print(json.dumps(payload(), indent=2, default=_jsonable), file=out)

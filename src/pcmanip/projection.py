@@ -2,7 +2,8 @@
 
 The tie space of a pair is the hyperplane of antisymmetric matrices
 orthogonal to the tie normal matrix N, so ``project_to_tie`` uses the
-closed form A - (f/n) * N, with f the pair's row-sum gap, in O(n^2).
+closed form A - (f/n) * N, with f the pair's row-sum gap, in O(n^2), and
+reads its coefficients off the pair's rows and columns in O(n^3).
 
 ``basis_projection`` keeps the paper's construction as the reference:
 tie-space basis, un-normalized Gram-Schmidt under the Frobenius inner
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import AdditivePcm, pair_values, validate_additive
 from .errors import DegenerateBasisError
-from .tiespace import AlternativePair, TieBasis, tie_basis, tie_gap
+from .tiespace import AlternativePair, TieBasis, generator_matrix, tie_basis, tie_gap, tie_labels
 
 _MIN_SQ_NORM = 1e-12
 
@@ -32,9 +33,9 @@ class OrthogonalBasis:
     """Pairwise Frobenius-orthogonal basis of one tie space.
 
     Elements are kept un-normalized so they match hand-computed
-    fractional forms exactly.  ``flat`` holds the elements as rows of a
-    (dim, n*n) array for fast inner products; ``matrices`` are (n, n)
-    views of those rows.
+    fractional forms exactly.  ``flat`` holds the elements as rows for
+    fast inner products, of length n*n for a whole tie basis, which
+    ``matrices`` reads as (n, n) views.
     """
 
     pair: AlternativePair
@@ -83,13 +84,26 @@ class ProjectionResult:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Coefficients along the orthogonal tie basis (relabeled frame
-        when j = n), built by the reference route on each access."""
-        return _reference_expansion(self.original.values, self.pair)[0]
+        """Coefficients along the orthogonal tie basis (relabeled frame when
+        j = n), from the pair's rows and columns on each access.  C(q, r) lies
+        off them, each D-G generator on them, so Gram-Schmidt keeps C(q, r),
+        whose coefficient is (a_qr - a_rq)/2, halved first not to overflow."""
+        if self.pair.n == 2:  # the tie space is {0}
+            return np.zeros(0)
+        work, pair, _ = relabel_pair(self.original.values, self.pair)
+        on_pair = np.zeros_like(work, dtype=bool)  # rows and columns i and j
+        on_pair[[pair.i - 1, pair.j - 1]] = on_pair[:, [pair.i - 1, pair.j - 1]] = True
+        off_pair = np.triu(~on_pair, 1)  # C(q, r) at (q, r), row-major as z_set orders them
+        on_pair = np.triu(on_pair, 1)  # the upper half: half the Frobenius products
+        labels = tie_labels(pair)[np.count_nonzero(off_pair):]
+        h = gram_schmidt(TieBasis(pair, tuple(generator_matrix(*g, pair)[on_pair] for g in labels),
+                                  labels))
+        return np.concatenate([work[off_pair] / 2 - work.T[off_pair] / 2,
+                               h.flat @ work[on_pair] / h.squared_norms])
 
 
 def gram_schmidt(basis: TieBasis) -> OrthogonalBasis:
-    """Classical Gram-Schmidt without normalization, order preserved."""
+    """Un-normalized classical Gram-Schmidt, order preserved, of equal-shape arrays, ravelled."""
     dim = len(basis)
     flat = np.stack([b.ravel() for b in basis.matrices])
     ortho = np.zeros_like(flat)
@@ -135,20 +149,14 @@ def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair,
     return relabeling.apply(values), AlternativePair(pair.i, k, n), relabeling  # which sorts i, k
 
 
-def _reference_expansion(values: np.ndarray, pair: AlternativePair):
-    """Tie-basis coefficients (relabeled when j = n) and their expansion."""
-    n = pair.n
-    if n == 2:  # the tie space is {0}
-        return np.zeros(0), np.zeros_like(values)
-    work, work_pair, relabeling = relabel_pair(values, pair)
-    h = orthogonal_basis_for(n, work_pair.i, work_pair.j)
-    coefficients = projection_coefficients(work, h)
-    return coefficients, relabeling.undo((coefficients @ h.flat).reshape(n, n))
-
-
 def basis_projection(a, pair: AlternativePair) -> np.ndarray:
     """Reference route: the paper's basis expansion of the projection."""
-    return _reference_expansion(pair_values(a, pair), pair)[1]
+    values, n = pair_values(a, pair), pair.n
+    if n == 2:  # the tie space is {0}
+        return np.zeros_like(values)
+    work, work_pair, relabeling = relabel_pair(values, pair)
+    h = orthogonal_basis_for(n, work_pair.i, work_pair.j)
+    return relabeling.undo((projection_coefficients(work, h) @ h.flat).reshape(n, n))
 
 
 def max_changed_entries(n: int) -> int:

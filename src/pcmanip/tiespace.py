@@ -142,22 +142,26 @@ def generator_matrix(kind: str, params, pair: AlternativePair) -> np.ndarray:
     raise ParamOutOfRangeError(kind, params, "unknown generator kind")
 
 
-def tie_basis(pair: AlternativePair) -> TieBasis:
-    """The ordered basis: C (lexicographic), then D, E, F, G by ascending p.
+def tie_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
+    """The basis order: C (lexicographic), then D, E, F, G by ascending p.
 
     The F block runs p = i+1..j-1 followed by p = j+1..n.  Total length
-    is (n^2 - n)/2 - 1.  Requires i < j < n.
+    is (n^2 - n)/2 - 1.
     """
     i, j, n = pair.i, pair.j, pair.n
-    labels: list[GeneratorLabel] = []
-    labels += [("C", qr) for qr in z_set(pair).pairs]
-    labels += [("D", (p,)) for p in range(1, i)]
-    labels += [("E", (p,)) for p in range(1, j)]
-    labels += [("F", (p,)) for p in list(range(i + 1, j)) + list(range(j + 1, n + 1))]
-    labels += [("G", (p,)) for p in range(j + 1, n)]
+    return (*[("C", qr) for qr in z_set(pair).pairs],
+            *[("D", (p,)) for p in range(1, i)],
+            *[("E", (p,)) for p in range(1, j)],
+            *[("F", (p,)) for p in [*range(i + 1, j), *range(j + 1, n + 1)]],
+            *[("G", (p,)) for p in range(j + 1, n)])
+
+
+def tie_basis(pair: AlternativePair) -> TieBasis:
+    """The generator matrices in ``tie_labels`` order.  Requires i < j < n."""
+    labels = tie_labels(pair)
     matrices = tuple(generator_matrix(kind, params, pair) for kind, params in labels)
-    assert len(matrices) == tie_space_dimension(n)
-    return TieBasis(pair, matrices, tuple(labels))
+    assert len(matrices) == tie_space_dimension(pair.n)
+    return TieBasis(pair, matrices, labels)
 
 
 def is_tie_equating(a, pair: AlternativePair, tol: float = DEFAULT_TOLERANCES.ranking_tie) -> bool:
