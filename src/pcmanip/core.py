@@ -291,15 +291,15 @@ def frobenius_inner(a, b) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a decorator costs half what a with block does
-def overflow_safe(reduce, *arrays) -> float:
-    """reduce(*arrays) for a reduce that scales with its arguments; only a result
-    that overflows (inf, or NaN from inf - inf) is redone on the arrays scaled
-    exactly by a power of two, so every result that fits in float64 keeps its bits."""
+def overflow_safe(reduce, *arrays):
+    """reduce(*arrays) for a reduce that scales with its arguments, as a float or an array;
+    only a result with an entry that overflows (inf, or NaN from inf - inf) is redone on the
+    arrays scaled exactly by a power of two, so every result that fits in float64 keeps its bits."""
     result = reduce(*arrays)
-    if not math.isfinite(result):
+    if not (np.isfinite(result).all() if getattr(result, "ndim", 0) else math.isfinite(result)):
         e = np.frexp(max(np.abs(x).max() for x in arrays))[1]
         result = np.ldexp(reduce(*(np.ldexp(x, -e) for x in arrays)), e)
-    return float(result)
+    return result if getattr(result, "ndim", 0) else float(result)
 
 
 def frobenius_norm(a) -> float:

@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AdditivePcm, pair_values, validate_additive
+from .core import AdditivePcm, overflow_safe, pair_values, validate_additive
 from .errors import DegenerateBasisError
-from .tiespace import AlternativePair, TieBasis, generator_matrix, tie_basis, tie_gap, tie_labels
+from .tiespace import AlternativePair, TieBasis, _generator_entry, tie_basis, tie_gap, tie_labels
 
 _MIN_SQ_NORM = 1e-12
 
@@ -96,10 +96,13 @@ class ProjectionResult:
         off_pair = np.triu(~on_pair, 1)  # C(q, r) at (q, r), row-major as z_set orders them
         on_pair = np.triu(on_pair, 1)  # the upper half: half the Frobenius products
         labels = tie_labels(pair)[np.count_nonzero(off_pair):]
-        h = gram_schmidt(TieBasis(pair, tuple(generator_matrix(*g, pair)[on_pair] for g in labels),
-                                  labels))
-        return np.concatenate([work[off_pair] / 2 - work.T[off_pair] / 2,
-                               h.flat @ work[on_pair] / h.squared_norms])
+        place = np.cumsum(on_pair).reshape(on_pair.shape) - 1  # row-major index among on_pair
+        rows = np.zeros((len(labels), np.count_nonzero(on_pair)))
+        for row, ((k, l), s) in zip(rows, (_generator_entry(*g, pair) for g in labels)):
+            row[place[k - 1, l - 1]], row[place[pair.j - 1, -1]] = 1, s  # own, anchor (j, n)
+        h = gram_schmidt(TieBasis(pair, tuple(rows), labels))
+        d_to_g = overflow_safe(lambda x: h.flat @ x / h.squared_norms, work[on_pair])
+        return np.concatenate([work[off_pair] / 2 - work.T[off_pair] / 2, d_to_g])
 
 
 def gram_schmidt(basis: TieBasis) -> OrthogonalBasis:

@@ -4,7 +4,10 @@ For a fixed pair of alternatives (i, j), the tie space is the linear
 subspace of additive PCMs whose induced row-mean weights for i and j
 coincide.  Its dimension is (n^2 - n)/2 - 1 and it admits an explicit
 basis of sparse integer matrices built from five generator families,
-labeled C, D, E, F and G.  Indices i, j, p, q, r below are 1-based.
+labeled C, D, E, F and G.  Each follows one rule, E(own) + s * E(j, n):
+a unit antisymmetric pair at its own index plus s times the anchor
+(j, n), which keeps rows i and j at equal sums (``_generator_entry``).
+Indices i, j, p, q, r below are 1-based.
 
 The construction assumes i < j < n; pairs touching the last index are
 handled by permutation conjugation in the projection layer.
@@ -40,8 +43,6 @@ class AlternativePair:
                 operator.index(getattr(self, name))
             except TypeError:
                 raise PcmError(f"{name} = {getattr(self, name)!r} must be an integer") from None
-        if self.n < 2:
-            raise PcmError(f"n must be >= 2, got {self.n}")
         if self.i == self.j:
             raise PcmError(f"pair indices must differ, got ({self.i},{self.j})")
         if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
@@ -93,24 +94,16 @@ def z_set(pair: AlternativePair) -> ZSet:
     return ZSet(pairs)
 
 
-def _sparse(n: int, entries: dict[tuple[int, int], float]) -> np.ndarray:
-    out = np.zeros((n, n))
-    for (k, l), value in entries.items():
-        out[k - 1, l - 1] = value
-    return out
+def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[int, int], int]:
+    """The rule every generator follows: E(own) + s * E(j, n), where E(k, l) is +1 at (k, l)
+    and -1 at (l, k), and s is what the anchor (j, n) carries so that rows i and j keep
+    equal sums.  Returns (own, s).  Legal ranges, and own and s:
 
-
-def generator_matrix(kind: str, params, pair: AlternativePair) -> np.ndarray:
-    """Build one generator matrix by its case formula.
-
-    kind "C" takes params = (q, r) from the Z set; kinds "D", "E", "F",
-    "G" take a single integer p.  Legal ranges:
-
-        C: (q, r) with q < r, both outside {i, j}
-        D: 1 <= p < i
-        E: 1 <= p < j            (p = i is the special +-2 case)
-        F: i < p <= n, p != j
-        G: j < p <= n - 1
+        C: (q, r) with q < r, both outside {i, j}    own (q, r)   s = 0
+        D: 1 <= p < i                                 own (p, i)   s = -1
+        E: 1 <= p < j                                 own (p, j)   s = +1, or +2 when p = i
+        F: i < p <= n, p != j                         own (i, p)   s = +1
+        G: j < p <= n - 1                             own (j, p)   s = -1
     """
     i, j, n = pair.i, pair.j, pair.n
     if j == n:
@@ -119,27 +112,29 @@ def generator_matrix(kind: str, params, pair: AlternativePair) -> np.ndarray:
         q, r = params
         if not (1 <= q < r <= n) or q in (i, j) or r in (i, j):
             raise ParamOutOfRangeError(kind, params)
-        return _sparse(n, {(q, r): 1, (r, q): -1})
+        return (q, r), 0
     p = int(params[0] if isinstance(params, (tuple, list)) else params)
-    if kind == "D":
-        if not 1 <= p < i:
-            raise ParamOutOfRangeError(kind, p)
-        return _sparse(n, {(p, i): 1, (n, j): 1, (i, p): -1, (j, n): -1})
-    if kind == "E":
-        if not 1 <= p < j:
-            raise ParamOutOfRangeError(kind, p)
-        if p == i:
-            return _sparse(n, {(p, j): 1, (j, p): -1, (j, n): 2, (n, j): -2})
-        return _sparse(n, {(p, j): 1, (j, n): 1, (j, p): -1, (n, j): -1})
-    if kind == "F":
-        if not (i < p <= n) or p == j:
-            raise ParamOutOfRangeError(kind, p)
-        return _sparse(n, {(i, p): 1, (j, n): 1, (p, i): -1, (n, j): -1})
-    if kind == "G":
-        if not j < p <= n - 1:
-            raise ParamOutOfRangeError(kind, p)
-        return _sparse(n, {(j, p): 1, (n, j): 1, (p, j): -1, (j, n): -1})
+    if kind == "D" and 1 <= p < i:
+        return (p, i), -1
+    if kind == "E" and 1 <= p < j:
+        return (p, j), 2 if p == i else 1
+    if kind == "F" and i < p <= n and p != j:
+        return (i, p), 1
+    if kind == "G" and j < p <= n - 1:
+        return (j, p), -1
+    if kind in ("D", "E", "F", "G"):
+        raise ParamOutOfRangeError(kind, p)
     raise ParamOutOfRangeError(kind, params, "unknown generator kind")
+
+
+def generator_matrix(kind: str, params, pair: AlternativePair) -> np.ndarray:
+    """The dense n x n form of one generator, E(own) + s * E(j, n) by ``_generator_entry``,
+    which holds the legal ranges.  kind "C" takes params = (q, r) from the Z set; kinds "D",
+    "E", "F", "G" take a single integer p."""
+    (k, l), s = _generator_entry(kind, params, pair)
+    out = np.zeros((pair.n, pair.n))
+    out[k - 1, l - 1], out[pair.j - 1, pair.n - 1] = 1, s
+    return out - out.T
 
 
 def tie_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
