@@ -85,8 +85,9 @@ def _read_text(path: str) -> str:
 def parse_matrix_file(path: str, default_scale: str = "multiplicative",
                       expect_names: bool = False) -> MatrixFile:
     """Parse a matrix from CSV (n rows of n numbers) or JSON
-    ({"scale", "matrix", optional "names"}), sniffed by content."""
-    text = _read_text(path)
+    ({"scale", "matrix", optional "names"}), sniffed by content.  One leading
+    byte-order mark, as Excel's "CSV UTF-8" writes, is dropped, from a file or stdin."""
+    text = _read_text(path).removeprefix("\ufeff")
     if not text.strip():
         raise CliParseError("empty input", line=1)
     if text.lstrip()[0] == "{":

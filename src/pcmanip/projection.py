@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import AdditivePcm, overflow_safe, pair_values, validate_additive
 from .errors import DegenerateBasisError
-from .tiespace import AlternativePair, TieBasis, _generator_entry, tie_basis, tie_gap, tie_labels
+from .tiespace import AlternativePair, TieBasis, _generator_entry, _pair_labels, tie_basis, tie_gap
 
 _MIN_SQ_NORM = 1e-12
 
@@ -33,9 +33,9 @@ class OrthogonalBasis:
     """Pairwise Frobenius-orthogonal basis of one tie space.
 
     Elements are kept un-normalized so they match hand-computed
-    fractional forms exactly.  ``flat`` holds the elements as rows for
-    fast inner products, of length n*n for a whole tie basis, which
-    ``matrices`` reads as (n, n) views.
+    fractional forms exactly.  ``flat`` holds them as rows for fast inner
+    products: of length n*n for a dense tie basis, the only kind that
+    ``matrices`` reads as (n, n) views, or 2n - 3 for the D-G block.
     """
 
     pair: AlternativePair
@@ -95,7 +95,7 @@ class ProjectionResult:
         on_pair[[pair.i - 1, pair.j - 1]] = on_pair[:, [pair.i - 1, pair.j - 1]] = True
         off_pair = np.triu(~on_pair, 1)  # C(q, r) at (q, r), row-major as z_set orders them
         on_pair = np.triu(on_pair, 1)  # the upper half: half the Frobenius products
-        labels = tie_labels(pair)[np.count_nonzero(off_pair):]
+        labels = _pair_labels(pair)
         place = np.cumsum(on_pair).reshape(on_pair.shape) - 1  # row-major index among on_pair
         rows = np.zeros((len(labels), np.count_nonzero(on_pair)))
         for row, ((k, l), s) in zip(rows, (_generator_entry(*g, pair) for g in labels)):

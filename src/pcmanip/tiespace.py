@@ -7,16 +7,18 @@ basis of sparse integer matrices built from five generator families,
 labeled C, D, E, F and G.  Each follows one rule, E(own) + s * E(j, n):
 a unit antisymmetric pair at its own index plus s times the anchor
 (j, n), which keeps rows i and j at equal sums (``_generator_entry``).
-Indices i, j, p, q, r below are 1-based.
-
-The construction assumes i < j < n; pairs touching the last index are
-handled by permutation conjugation in the projection layer.
+The basis order is the C block, off rows and columns i and j (``z_set``),
+then the 2n - 4 D-G generators, on them (``_pair_labels``).  Indices i,
+j, p, q, r below are 1-based.  The construction assumes i < j < n; pairs
+touching the last index are handled by permutation conjugation in the
+projection layer.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -55,7 +57,8 @@ class AlternativePair:
 
 @dataclass(frozen=True)
 class TieBasis:
-    """Ordered basis of the tie space for one pair, with generator labels."""
+    """Ordered basis of one pair's tie space, with labels: the dense (n, n) generators, or the
+    D-G block as rows of the 2n - 3 upper entries on rows and columns i and j (coefficients)."""
 
     pair: AlternativePair
     matrices: tuple[np.ndarray, ...]
@@ -82,16 +85,9 @@ def tie_space_dimension(n: int) -> int:
 
 
 def z_set(pair: AlternativePair) -> ZSet:
-    """All (q, r) with 1 <= q < r <= n and {q,r} disjoint from {i,j}."""
-    i, j, n = pair.i, pair.j, pair.n
-    pairs = tuple(
-        (q, r)
-        for q in range(1, n + 1)
-        for r in range(q + 1, n + 1)
-        if q not in (i, j) and r not in (i, j)
-    )
-    assert len(pairs) == (n - 2) * (n - 3) // 2
-    return ZSet(pairs)
+    """All (q, r) with 1 <= q < r <= n and {q,r} disjoint from {i,j}, lexicographic."""
+    others = [k for k in range(1, pair.n + 1) if k not in (pair.i, pair.j)]
+    return ZSet(tuple(combinations(others, 2)))
 
 
 def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[int, int], int]:
@@ -108,12 +104,17 @@ def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[in
     i, j, n = pair.i, pair.j, pair.n
     if j == n:
         raise PairRequiresRelabelingError(i, j, n)
-    if kind == "C":
-        q, r = params
-        if not (1 <= q < r <= n) or q in (i, j) or r in (i, j):
-            raise ParamOutOfRangeError(kind, params)
-        return (q, r), 0
-    p = int(params[0] if isinstance(params, (tuple, list)) else params)
+    if kind not in ("C", "D", "E", "F", "G"):
+        raise ParamOutOfRangeError(kind, params, "unknown generator kind")
+    try:  # as AlternativePair reads its indices, by operator.index: 2.9 is not 2
+        ints = tuple(map(operator.index, params if isinstance(params, (tuple, list)) else [params]))
+    except TypeError:
+        ints = ()
+    if len(ints) != (2 if kind == "C" else 1):
+        raise ParamOutOfRangeError(kind, params, "C takes integers (q, r), D-G one integer p")
+    if kind == "C" and 1 <= ints[0] < ints[1] <= n and not set(ints) & {i, j}:
+        return ints, 0
+    p = ints[0]
     if kind == "D" and 1 <= p < i:
         return (p, i), -1
     if kind == "E" and 1 <= p < j:
@@ -122,9 +123,7 @@ def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[in
         return (i, p), 1
     if kind == "G" and j < p <= n - 1:
         return (j, p), -1
-    if kind in ("D", "E", "F", "G"):
-        raise ParamOutOfRangeError(kind, p)
-    raise ParamOutOfRangeError(kind, params, "unknown generator kind")
+    raise ParamOutOfRangeError(kind, params if kind == "C" else p)
 
 
 def generator_matrix(kind: str, params, pair: AlternativePair) -> np.ndarray:
@@ -137,26 +136,25 @@ def generator_matrix(kind: str, params, pair: AlternativePair) -> np.ndarray:
     return out - out.T
 
 
-def tie_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
-    """The basis order: C (lexicographic), then D, E, F, G by ascending p.
-
-    The F block runs p = i+1..j-1 followed by p = j+1..n.  Total length
-    is (n^2 - n)/2 - 1.
-    """
+def _pair_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
+    """The D-G block, on rows and columns i and j: 2n - 4 labels, D, E, F, G by
+    ascending p, with F running p = i+1..j-1 then p = j+1..n."""
     i, j, n = pair.i, pair.j, pair.n
-    return (*[("C", qr) for qr in z_set(pair).pairs],
-            *[("D", (p,)) for p in range(1, i)],
+    return (*[("D", (p,)) for p in range(1, i)],
             *[("E", (p,)) for p in range(1, j)],
             *[("F", (p,)) for p in [*range(i + 1, j), *range(j + 1, n + 1)]],
             *[("G", (p,)) for p in range(j + 1, n)])
 
 
+def tie_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
+    """The basis order, (n^2 - n)/2 - 1 labels: the C block of ``z_set``, then ``_pair_labels``."""
+    return (*[("C", qr) for qr in z_set(pair).pairs], *_pair_labels(pair))
+
+
 def tie_basis(pair: AlternativePair) -> TieBasis:
     """The generator matrices in ``tie_labels`` order.  Requires i < j < n."""
     labels = tie_labels(pair)
-    matrices = tuple(generator_matrix(kind, params, pair) for kind, params in labels)
-    assert len(matrices) == tie_space_dimension(pair.n)
-    return TieBasis(pair, matrices, labels)
+    return TieBasis(pair, tuple(generator_matrix(*g, pair) for g in labels), labels)
 
 
 def is_tie_equating(a, pair: AlternativePair, tol: float = DEFAULT_TOLERANCES.ranking_tie) -> bool:
