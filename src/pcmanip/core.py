@@ -84,14 +84,16 @@ DEFAULT_TOLERANCES = Tolerances()
 
 def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
     try:
+        if np.iscomplexobj(x):  # numpy would drop the imaginary part with only a warning
+            raise TypeError("complex values are not real numbers")
         return convert(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:
         hint = x._hint if isinstance(x, _Pcm) and not vector else e  # a matrix: name its conversion
         raise PcmError(f"expected an array of numbers, got {type(x).__name__}: {hint}") from None
 
 
-def _as_square(matrix) -> np.ndarray:
-    values = _as_floats(np.array, matrix)
+def _as_square(matrix, convert=np.array) -> np.ndarray:
+    values = _as_floats(convert, matrix)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
         raise NotSquareError(values.shape)
     return values
@@ -248,8 +250,9 @@ def gmm_weights(m) -> np.ndarray:
 
 
 def additive_weights(a) -> np.ndarray:
-    """Row means: np.mean(values, axis=1) bit for bit, without its Python-level wrapper."""
-    values = additive_values(a)
+    """Row means: np.mean(values, axis=1) bit for bit, without its Python-level wrapper.  An
+    AdditivePcm is trusted; other input must be square with n >= 2, and is not validated."""
+    values = a.values if isinstance(a, AdditivePcm) else _as_square(a, np.asarray)
     return np.add.reduce(values, axis=1) / values.shape[1]
 
 
@@ -276,7 +279,7 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     """
     if (w := _as_floats(np.asarray, weights, vector=True)).ndim != 1:
         raise PcmError(f"expected a vector of weights, got shape {w.shape}")
-    order = np.lexsort((np.arange(len(w)), -w))  # the key (-w[k], k)
+    order = np.argsort(-w, kind="stable")  # the key (-w[k], k)
     ws = w[order]
     ks = (order + 1).tolist()
     cuts = (np.flatnonzero(~(np.abs(ws[:-1] - ws[1:]) <= tol.ranking_tie)) + 1).tolist()

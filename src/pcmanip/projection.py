@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import AdditivePcm, overflow_safe, pair_values, validate_additive
 from .errors import DegenerateBasisError
-from .tiespace import AlternativePair, TieBasis, _generator_entry, _pair_labels, tie_basis, tie_gap
+from .tiespace import AlternativePair, TieBasis, _pair_block, tie_basis, tie_gap
 
 _MIN_SQ_NORM = 1e-12
 
@@ -54,8 +54,9 @@ class OrthogonalBasis:
 class Relabeling:
     """Index permutation applied before projecting; perm maps new -> old.
 
-    ``apply`` conjugates a matrix into the relabeled frame, ``undo``
-    conjugates back.  The identity permutation means no relabeling.
+    ``apply`` conjugates a matrix into the relabeled frame.  perm is the
+    identity or one transposition (``relabel_pair``), its own inverse, so
+    ``apply`` also conjugates back; ``undo`` is another name for it.
     """
 
     perm: tuple[int, ...]
@@ -67,9 +68,7 @@ class Relabeling:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return values[np.ix_(self.perm, self.perm)]
 
-    def undo(self, values: np.ndarray) -> np.ndarray:
-        inv = np.argsort(np.array(self.perm))
-        return values[np.ix_(inv, inv)]
+    undo = apply
 
 
 @dataclass(frozen=True)
@@ -95,27 +94,25 @@ class ProjectionResult:
         on_pair[[pair.i - 1, pair.j - 1]] = on_pair[:, [pair.i - 1, pair.j - 1]] = True
         off_pair = np.triu(~on_pair, 1)  # C(q, r) at (q, r), row-major as z_set orders them
         on_pair = np.triu(on_pair, 1)  # the upper half: half the Frobenius products
-        labels = _pair_labels(pair)
+        block = _pair_block(pair)
         place = np.cumsum(on_pair).reshape(on_pair.shape) - 1  # row-major index among on_pair
-        rows = np.zeros((len(labels), np.count_nonzero(on_pair)))
-        for row, ((k, l), s) in zip(rows, (_generator_entry(*g, pair) for g in labels)):
+        rows = np.zeros((len(block), np.count_nonzero(on_pair)))
+        for row, ((k, l), s) in zip(rows, block.values()):
             row[place[k - 1, l - 1]], row[place[pair.j - 1, -1]] = 1, s  # own, anchor (j, n)
-        h = gram_schmidt(TieBasis(pair, tuple(rows), labels))
+        h = gram_schmidt(TieBasis(pair, tuple(rows), tuple(block)))
         d_to_g = overflow_safe(lambda x: h.flat @ x / h.squared_norms, work[on_pair])
         return np.concatenate([work[off_pair] / 2 - work.T[off_pair] / 2, d_to_g])
 
 
 def gram_schmidt(basis: TieBasis) -> OrthogonalBasis:
-    """Un-normalized classical Gram-Schmidt, order preserved, of equal-shape arrays, ravelled."""
+    """Un-normalized classical Gram-Schmidt, order preserved, of equal-shape arrays, ravelled:
+    each row less its projection onto the rows before it, none for the first."""
     dim = len(basis)
     flat = np.stack([b.ravel() for b in basis.matrices])
     ortho = np.zeros_like(flat)
     sq_norms = np.zeros(dim)
     for k in range(dim):
-        v = flat[k]
-        if k:
-            coeffs = ortho[:k] @ v / sq_norms[:k]
-            v = v - coeffs @ ortho[:k]
+        v = flat[k] - (ortho[:k] @ flat[k] / sq_norms[:k]) @ ortho[:k]
         sq = float(v @ v)
         if sq < _MIN_SQ_NORM:
             raise DegenerateBasisError(k + 1, sq)
@@ -159,7 +156,7 @@ def basis_projection(a, pair: AlternativePair) -> np.ndarray:
         return np.zeros_like(values)
     work, work_pair, relabeling = relabel_pair(values, pair)
     h = orthogonal_basis_for(n, work_pair.i, work_pair.j)
-    return relabeling.undo((projection_coefficients(work, h) @ h.flat).reshape(n, n))
+    return relabeling.apply((projection_coefficients(work, h) @ h.flat).reshape(n, n))
 
 
 def max_changed_entries(n: int) -> int:

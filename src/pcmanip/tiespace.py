@@ -6,9 +6,10 @@ coincide.  Its dimension is (n^2 - n)/2 - 1 and it admits an explicit
 basis of sparse integer matrices built from five generator families,
 labeled C, D, E, F and G.  Each follows one rule, E(own) + s * E(j, n):
 a unit antisymmetric pair at its own index plus s times the anchor
-(j, n), which keeps rows i and j at equal sums (``_generator_entry``).
-The basis order is the C block, off rows and columns i and j (``z_set``),
-then the 2n - 4 D-G generators, on them (``_pair_labels``).  Indices i,
+(j, n), which keeps rows i and j at equal sums.  The basis order is the C
+block, off rows and columns i and j (``z_set``), then the 2n - 4 D-G
+generators, on them: ``_pair_block`` maps each D-G label to its own and s,
+and ``_generator_entry`` checks a label given from outside.  Indices i,
 j, p, q, r below are 1-based.  The construction assumes i < j < n; pairs
 touching the last index are handled by permutation conjugation in the
 projection layer.
@@ -58,7 +59,8 @@ class AlternativePair:
 @dataclass(frozen=True)
 class TieBasis:
     """Ordered basis of one pair's tie space, with labels: the dense (n, n) generators, or the
-    D-G block as rows of the 2n - 3 upper entries on rows and columns i and j (coefficients)."""
+    D-G block, labeled by ``_pair_block``'s keys, as rows of the 2n - 3 upper entries on rows
+    and columns i and j (coefficients)."""
 
     pair: AlternativePair
     matrices: tuple[np.ndarray, ...]
@@ -79,6 +81,10 @@ class ZSet:
 
 
 def tie_space_dimension(n: int) -> int:
+    try:  # as AlternativePair reads n: 2.5 is not an integer
+        n = operator.index(n)
+    except TypeError:
+        raise PcmError(f"n = {n!r} must be an integer") from None
     if n < 2:
         raise PcmError(f"n must be >= 2, got {n}")
     return (n * n - n) // 2 - 1
@@ -90,17 +96,21 @@ def z_set(pair: AlternativePair) -> ZSet:
     return ZSet(tuple(combinations(others, 2)))
 
 
-def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[int, int], int]:
-    """The rule every generator follows: E(own) + s * E(j, n), where E(k, l) is +1 at (k, l)
-    and -1 at (l, k), and s is what the anchor (j, n) carries so that rows i and j keep
-    equal sums.  Returns (own, s).  Legal ranges, and own and s:
+def _pair_block(pair: AlternativePair) -> dict[GeneratorLabel, tuple[tuple[int, int], int]]:
+    """The D-G block, on rows and columns i and j: its 2n - 4 labels, D, E, F, G by ascending
+    p in basis order, each mapped to (own, s) of E(own) + s * E(j, n), where E(k, l) is +1 at
+    (k, l) and -1 at (l, k), and the anchor (j, n) carries s to keep rows i and j at equal sums."""
+    i, j, n = pair.i, pair.j, pair.n
+    return {**{("D", (p,)): ((p, i), -1) for p in range(1, i)},
+            **{("E", (p,)): ((p, j), 2 if p == i else 1) for p in range(1, j)},
+            **{("F", (p,)): ((i, p), 1) for p in range(i + 1, n + 1) if p != j},
+            **{("G", (p,)): ((j, p), -1) for p in range(j + 1, n)}}
 
-        C: (q, r) with q < r, both outside {i, j}    own (q, r)   s = 0
-        D: 1 <= p < i                                 own (p, i)   s = -1
-        E: 1 <= p < j                                 own (p, j)   s = +1, or +2 when p = i
-        F: i < p <= n, p != j                         own (i, p)   s = +1
-        G: j < p <= n - 1                             own (j, p)   s = -1
-    """
+
+def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[int, int], int]:
+    """(own, s) of the generator E(own) + s * E(j, n) with a label given from outside, checked:
+    j < n, a known kind, and integer parameters, (q, r) for C, with q < r both outside {i, j},
+    own (q, r) and s = 0, or one p for D-G, whose range and entry ``_pair_block`` holds."""
     i, j, n = pair.i, pair.j, pair.n
     if j == n:
         raise PairRequiresRelabelingError(i, j, n)
@@ -114,41 +124,24 @@ def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[in
         raise ParamOutOfRangeError(kind, params, "C takes integers (q, r), D-G one integer p")
     if kind == "C" and 1 <= ints[0] < ints[1] <= n and not set(ints) & {i, j}:
         return ints, 0
-    p = ints[0]
-    if kind == "D" and 1 <= p < i:
-        return (p, i), -1
-    if kind == "E" and 1 <= p < j:
-        return (p, j), 2 if p == i else 1
-    if kind == "F" and i < p <= n and p != j:
-        return (i, p), 1
-    if kind == "G" and j < p <= n - 1:
-        return (j, p), -1
-    raise ParamOutOfRangeError(kind, params if kind == "C" else p)
+    if (kind, ints) in (block := _pair_block(pair)):  # D-G: their legal ranges live there
+        return block[kind, ints]
+    raise ParamOutOfRangeError(kind, params if kind == "C" else ints[0])
 
 
 def generator_matrix(kind: str, params, pair: AlternativePair) -> np.ndarray:
     """The dense n x n form of one generator, E(own) + s * E(j, n) by ``_generator_entry``,
-    which holds the legal ranges.  kind "C" takes params = (q, r) from the Z set; kinds "D",
-    "E", "F", "G" take a single integer p."""
+    which checks the label.  kind "C" takes params = (q, r) from the Z set; kinds "D", "E",
+    "F", "G" take a single integer p."""
     (k, l), s = _generator_entry(kind, params, pair)
     out = np.zeros((pair.n, pair.n))
     out[k - 1, l - 1], out[pair.j - 1, pair.n - 1] = 1, s
     return out - out.T
 
 
-def _pair_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
-    """The D-G block, on rows and columns i and j: 2n - 4 labels, D, E, F, G by
-    ascending p, with F running p = i+1..j-1 then p = j+1..n."""
-    i, j, n = pair.i, pair.j, pair.n
-    return (*[("D", (p,)) for p in range(1, i)],
-            *[("E", (p,)) for p in range(1, j)],
-            *[("F", (p,)) for p in [*range(i + 1, j), *range(j + 1, n + 1)]],
-            *[("G", (p,)) for p in range(j + 1, n)])
-
-
 def tie_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
-    """The basis order, (n^2 - n)/2 - 1 labels: the C block of ``z_set``, then ``_pair_labels``."""
-    return (*[("C", qr) for qr in z_set(pair).pairs], *_pair_labels(pair))
+    """The basis order, (n^2 - n)/2 - 1 labels: the C block of ``z_set``, then ``_pair_block``."""
+    return (*[("C", qr) for qr in z_set(pair).pairs], *_pair_block(pair))
 
 
 def tie_basis(pair: AlternativePair) -> TieBasis:
