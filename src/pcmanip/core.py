@@ -84,7 +84,7 @@ DEFAULT_TOLERANCES = Tolerances()
 
 def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
     try:
-        if np.iscomplexobj(x):  # numpy would drop the imaginary part with only a warning
+        if np.asarray(x).dtype.kind == "c":  # numpy would drop the imaginary part with a warning
             raise TypeError("complex values are not real numbers")
         return convert(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:

@@ -12,7 +12,7 @@ import pcmanip.tiespace
 from pcmanip import AlternativePair, generator_matrix, project_to_tie
 from pcmanip.errors import DegenerateBasisError, ParamOutOfRangeError
 from pcmanip.projection import OrthogonalBasis, gram_schmidt, relabel_pair
-from pcmanip.tiespace import TieBasis, _generator_entry, _pair_block, tie_basis, tie_labels
+from pcmanip.tiespace import TieBasis, _generator_entry, _pair_block, tie_basis
 
 from refdata import all_pairs, random_antisymmetric
 
@@ -36,12 +36,6 @@ def test_the_block_is_the_written_out_table(n):
         assert [(label, *entry) for label, entry in block.items()] == \
             written_out_block(pair.i, pair.j, n)
         assert len(block) == 2 * n - 4
-
-
-@pytest.mark.parametrize("n", range(3, 13))
-def test_tie_labels_end_with_the_block(n):
-    for pair in canonical_pairs(n):
-        assert tie_labels(pair)[-(2 * n - 4):] == tuple(_pair_block(pair))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
