@@ -83,10 +83,10 @@ DEFAULT_TOLERANCES = Tolerances()
 
 
 def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
-    try:
-        if np.asarray(x).dtype.kind == "c":  # numpy would drop the imaginary part with a warning
+    try:  # numpy would drop an imaginary part with only a warning; a list of numbers is read once
+        if (found := np.asarray(x)).dtype.kind == "c":
             raise TypeError("complex values are not real numbers")
-        return convert(x, dtype=float)
+        return convert(found if found.dtype.kind in "biuf" else x, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:
         hint = x._hint if isinstance(x, _Pcm) and not vector else e  # a matrix: name its conversion
         raise PcmError(f"expected an array of numbers, got {type(x).__name__}: {hint}") from None

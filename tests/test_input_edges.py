@@ -58,6 +58,23 @@ def test_complex_input_is_a_pcm_error(reader, x):
         reader(x)
 
 
+@pytest.mark.parametrize("x", [
+    [[0.0, 1.5], [-1.5, 0.0]],
+    [[0, 3], [-3, 0]],
+    [[0, 2**63], [-(2**63), 0]],
+    [[0, 2**70], [-(2**70), 0]],
+    [[False, True], [-1, 0]],
+    [[0, np.float32(0.1)], [-np.float32(0.1), 0]],
+    [["0", "2.5"], ["-2.5", "0"]],
+    [[0, None], [None, 0]],
+], ids=["floats", "ints", "uint64", "object-ints", "bools", "float32", "strings", "none"])
+def test_a_list_reads_as_numpy_reads_it_with_dtype_float(x):
+    # a list of plain numbers is read once, its dtype found first; the rest as before
+    want = np.array(x, dtype=float)
+    assert additive_weights(x).tobytes() == np.mean(want, axis=1).tobytes()
+    assert np.float64(frobenius_norm(x)).tobytes() == np.float64(frobenius_norm(want)).tobytes()
+
+
 @pytest.mark.parametrize("x", [np.float64(1.0), np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1)),
                                [[0.0, 1.0]], np.zeros((2, 2, 2))],
                          ids=["0-d", "1-d", "2x3", "1x1", "list-1x2", "3-d"])
