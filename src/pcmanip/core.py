@@ -84,7 +84,8 @@ DEFAULT_TOLERANCES = Tolerances()
 
 def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
     try:  # numpy would drop an imaginary part with only a warning; a list of numbers is read once
-        if (found := np.asarray(x)).dtype.kind == "c":
+        found = x if isinstance(x, np.ndarray) else np.asarray(x)
+        if found.dtype.kind == "c":
             raise TypeError("complex values are not real numbers")
         return convert(found if found.dtype.kind in "biuf" else x, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:
