@@ -75,6 +75,11 @@ def test_a_list_reads_as_numpy_reads_it_with_dtype_float(x):
     assert np.float64(frobenius_norm(x)).tobytes() == np.float64(frobenius_norm(want)).tobytes()
 
 
+def test_a_list_that_is_not_numbers_names_the_entry_as_written():
+    with pytest.raises(PcmError, match="could not convert string to float: 'x'$"):
+        additive_weights([["0", "x"], ["1", "0"]])
+
+
 @pytest.mark.parametrize("x", [np.float64(1.0), np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1)),
                                [[0.0, 1.0]], np.zeros((2, 2, 2))],
                          ids=["0-d", "1-d", "2x3", "1x1", "list-1x2", "3-d"])
