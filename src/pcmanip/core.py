@@ -85,6 +85,7 @@ DEFAULT_TOLERANCES = Tolerances()
 def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
     try:  # numpy would drop an imaginary part with only a warning; a list of numbers is read once
         found = x if isinstance(x, np.ndarray) else np.asarray(x)
+        found = np.asarray(found.tolist()) if found.dtype.kind == "O" else found  # by what it holds
         if found.dtype.kind == "c":
             raise TypeError("complex values are not real numbers")
         return convert(found if found.dtype.kind in "biuf" else x, dtype=float)

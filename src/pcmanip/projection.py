@@ -3,7 +3,7 @@
 The tie space of a pair is the hyperplane of antisymmetric matrices
 orthogonal to the tie normal matrix N, so ``project_to_tie`` uses the
 closed form A - (f/n) * N, with f the pair's row-sum gap, in O(n^2), and
-reads its coefficients off the pair's rows and columns in O(n^3).
+reads its coefficients off the pair's rows and columns in O(n^2).
 
 ``basis_projection`` keeps the paper's construction as the reference:
 tie-space basis, un-normalized Gram-Schmidt under the Frobenius inner
@@ -33,9 +33,8 @@ class OrthogonalBasis:
     """Pairwise Frobenius-orthogonal basis of one tie space.
 
     Elements are kept un-normalized so they match hand-computed
-    fractional forms exactly.  ``flat`` holds them as rows for fast inner
-    products: of length n*n for a dense tie basis, the only kind that
-    ``matrices`` reads as (n, n) views, or 2n - 3 for the D-G block.
+    fractional forms exactly.  ``flat`` holds them as rows of length n*n
+    for fast inner products; ``matrices`` reads them as (n, n) views.
     """
 
     pair: AlternativePair
@@ -83,30 +82,32 @@ class ProjectionResult:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Coefficients along the orthogonal tie basis (relabeled frame when
-        j = n), from the pair's rows and columns on each access.  C(q, r) lies
-        off them, each D-G generator on them, so Gram-Schmidt keeps C(q, r),
-        whose coefficient is (a_qr - a_rq)/2, halved first not to overflow."""
+        """Coefficients along the orthogonal tie basis (relabeled frame when j = n), in O(n^2)
+        on each access.  C(q, r), off the pair's rows and columns, gets (a_qr - a_rq)/2, halved
+        first not to overflow.  On their upper entries the D-G rows are e_own + s e_(j,n), whose
+        Gram-Schmidt is a rank-one Cholesky update of I (Gill, Golub, Murray & Saunders, Math.
+        Comp. 28, 1974): with b_k = a_own(k) + s_k a_(j,n), d_k = 1 + sum_{l<=k} s_l^2 and
+        B_k = sum_{l<=k} s_l b_l, coefficient k is (d_{k-1} b_k - s_k B_{k-1}) / d_k."""
         if self.pair.n == 2:  # the tie space is {0}
             return np.zeros(0)
         work, pair, _ = relabel_pair(self.original.values, self.pair)
-        on_pair = np.zeros_like(work, dtype=bool)  # rows and columns i and j
-        on_pair[[pair.i - 1, pair.j - 1]] = on_pair[:, [pair.i - 1, pair.j - 1]] = True
-        off_pair = np.triu(~on_pair, 1)  # C(q, r) at (q, r), row-major as z_set orders them
-        on_pair = np.triu(on_pair, 1)  # the upper half: half the Frobenius products
-        block = _pair_block(pair)
-        place = np.cumsum(on_pair).reshape(on_pair.shape) - 1  # row-major index among on_pair
-        rows = np.zeros((len(block), np.count_nonzero(on_pair)))
-        for row, ((k, l), s) in zip(rows, block.values()):
-            row[place[k - 1, l - 1]], row[place[pair.j - 1, -1]] = 1, s  # own, anchor (j, n)
-        h = gram_schmidt(TieBasis(pair, tuple(rows), tuple(block)))
-        d_to_g = overflow_safe(lambda x: h.flat @ x / h.squared_norms, work[on_pair])
-        return np.concatenate([work[off_pair] / 2 - work.T[off_pair] / 2, d_to_g])
+        off_pair = np.triu(np.ones_like(work, dtype=bool), 1)  # row-major, as z_set orders C
+        off_pair[[pair.i - 1, pair.j - 1]] = off_pair[:, [pair.i - 1, pair.j - 1]] = False
+        own, s = zip(*_pair_block(pair).values())
+        (k, l), s = np.array(own).T - 1, np.array(s, dtype=float)
+        d = np.cumsum(s * s) + 1  # integers, exact
+
+        def d_to_g(x, anchor):
+            b = x + s * anchor
+            return ((d - s * s) * b - s * np.concatenate([[0], np.cumsum(s * b)[:-1]])) / d
+
+        return np.concatenate([work[off_pair] / 2 - work.T[off_pair] / 2,
+                               overflow_safe(d_to_g, work[k, l], work[pair.j - 1, -1:])])
 
 
 def gram_schmidt(basis: TieBasis) -> OrthogonalBasis:
-    """Un-normalized classical Gram-Schmidt, order preserved, of equal-shape arrays, ravelled:
-    each row less its projection onto the rows before it, none for the first."""
+    """Un-normalized classical Gram-Schmidt of a dense tie basis, order preserved, ravelled:
+    each generator less its projection onto the ones before it, none for the first."""
     dim = len(basis)
     flat = np.stack([b.ravel() for b in basis.matrices])
     ortho = np.zeros_like(flat)

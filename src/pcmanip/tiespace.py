@@ -9,10 +9,10 @@ a unit antisymmetric pair at its own index plus s times the anchor
 (j, n), which keeps rows i and j at equal sums.  The basis order is the C
 block, off rows and columns i and j (``z_set``), then the 2n - 4 D-G
 generators, on them: ``_pair_block`` maps each D-G label to its own and s,
-and ``_generator_entry`` checks a label given from outside.  Indices i,
-j, p, q, r below are 1-based.  The construction assumes i < j < n; pairs
-touching the last index are handled by permutation conjugation in the
-projection layer.
+all the coefficients read; ``_generator_entry`` checks a label given from
+outside; only the reference route builds ``tie_basis``.  Indices are
+1-based.  The construction assumes i < j < n; pairs touching the last
+index are handled by permutation conjugation in the projection layer.
 """
 
 from __future__ import annotations
@@ -58,9 +58,7 @@ class AlternativePair:
 
 @dataclass(frozen=True)
 class TieBasis:
-    """Ordered basis of one pair's tie space, with labels: the dense (n, n) generators, or the
-    D-G block, labeled by ``_pair_block``'s keys, as rows of the 2n - 3 upper entries on rows
-    and columns i and j (coefficients)."""
+    """Ordered basis of one pair's tie space: the dense (n, n) generators, with their labels."""
 
     pair: AlternativePair
     matrices: tuple[np.ndarray, ...]

@@ -409,14 +409,21 @@ class TestLazyCoefficients:
         def forbidden(*args, **kwargs):
             raise RuntimeError("basis built")
 
+        def unread(result):
+            raise RuntimeError("coefficients read")
+
         pcmanip.projection.orthogonal_basis_for.cache_clear()
         monkeypatch.setattr(pcmanip.projection, "tie_basis", forbidden)
         monkeypatch.setattr(pcmanip.projection, "gram_schmidt", forbidden)
+        for output in ("text", "json", "csv"):  # no output builds a basis
+            code, _ = run(["project", example_csv, *self.ARGS, "2", "5", "--output", output])
+            assert code == EXIT_OK
+        monkeypatch.setattr(pcmanip.projection.ProjectionResult, "coefficients", property(unread))
         code, out = run(["project", example_csv, *self.ARGS, "2", "3", "--output", "csv"])
-        assert code == EXIT_OK
+        assert code == EXIT_OK  # and the CSV reads no coefficients
         assert np.allclose(np.loadtxt(io.StringIO(out), delimiter=","), EXAMPLE_A_PROJECTED)
         for output in ("text", "json"):
-            with pytest.raises(RuntimeError, match="basis built"):
+            with pytest.raises(RuntimeError, match="coefficients read"):
                 run(["project", example_csv, *self.ARGS, "2", "3", "--output", output])
 
 

@@ -3,6 +3,7 @@ are not square for additive_weights, a dimension that is not an integer, and
 weight vectors with NaN, infinities and signed zeros for ranking_of."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,27 @@ def test_complex_input_is_a_pcm_error(reader, x):
     # under filterwarnings = error, numpy's ComplexWarning would escape instead
     with pytest.raises(PcmError, match="expected an array of numbers"):
         reader(x)
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS)
+@pytest.mark.parametrize("x", [
+    np.array([[0, 1j], [-1j, 0]], dtype=object),
+    np.array([[0, np.complex128(1j)], [np.complex128(-1j), 0]], dtype=object),
+], ids=["python", "scalars"])
+def test_complex_numbers_held_as_objects_are_a_pcm_error(reader, x):
+    # an object array is read by what it holds; numpy's own float reading drops the imaginary part
+    with pytest.raises(PcmError, match="complex values are not real numbers"):
+        reader(x)
+
+
+@pytest.mark.parametrize("x", [
+    np.array([[Fraction(0), Fraction(1, 3)], [Fraction(-1, 3), Fraction(0)]], dtype=object),
+    np.array([[0.0, 1.5], [-1.5, 0.0]], dtype=object),
+], ids=["fractions", "floats"])
+def test_real_numbers_held_as_objects_read_as_floats(x):
+    want = np.array(x, dtype=float)
+    assert validate_additive(x).values.tobytes() == want.tobytes()
+    assert additive_weights(x).tobytes() == np.mean(want, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("x", [

@@ -70,6 +70,19 @@ class TestOracleBits:
         assert got.tobytes() == _normal_route(a, AlternativePair(1, 2, 4)).tobytes()
         assert np.signbit(got[2, 3]) == (top > 0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("ij", [(1, 2), (2, 4)], ids=["interior", "j=n"])
+    def test_negative_zero_diagonal_keeps_its_bits(self, sign, ij):
+        # N is +0.0 on the diagonal, so (f/n) * N is +0.0 or -0.0 by the sign of f, and
+        # -0.0 less it is -0.0 or +0.0: an entry written as values + zero would flip both
+        a = sign * np.array([[0, 1, 2, 0], [-1, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]])
+        np.fill_diagonal(a, -0.0)
+        pair = AlternativePair(*ij, 4)
+        f = tie_gap(a, pair)
+        assert np.sign(f) == sign
+        want = (a - (f / pair.n) * tie_normal_matrix(pair)).tobytes()
+        assert project_to_tie(a, pair).projected.values.tobytes() == want
+
 
 def _ranking_by_python_sort(weights, tol):
     """ranking_of's groups as computed before it sorted with np.lexsort,

@@ -121,5 +121,6 @@ def test_request_path_builds_no_basis(monkeypatch, rng):
         tip = tip_pair(result, pair.i)
         assert verify_manipulation(a, tip.tipped, pair, pair.i).passed
     assert len(scan_all_pairs(a).rows) == n * (n - 1) // 2
-    with pytest.raises(AssertionError, match="request path"):
-        result.coefficients  # only the reference route builds bases
+    coefficients = result.coefficients  # no basis: the D-G block's Gram-Schmidt in closed form
+    assert coefficients.shape == ((n * n - n) // 2 - 1,)
+    assert np.isfinite(coefficients).all()

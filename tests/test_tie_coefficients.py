@@ -50,23 +50,14 @@ def test_request_route_builds_no_vector_of_length_n_squared(monkeypatch, rng, pa
     def forbidden(*args, **kwargs):
         raise AssertionError("dense basis built on the request path")
 
-    shapes = []
-    gram_schmidt = pcmanip.projection.gram_schmidt
-
-    def recording(basis):
-        shapes.append({m.shape for m in basis.matrices})
-        return gram_schmidt(basis)
-
-    monkeypatch.setattr(pcmanip.projection, "tie_basis", forbidden)
-    monkeypatch.setattr(pcmanip.projection, "orthogonal_basis_for", forbidden)
-    monkeypatch.setattr(pcmanip.projection, "gram_schmidt", recording)
+    for name in ("tie_basis", "orthogonal_basis_for", "gram_schmidt"):
+        monkeypatch.setattr(pcmanip.projection, name, forbidden)
     n = 200
     a = random_antisymmetric(rng, n)
     pair = AlternativePair(*pair, n)
     coefficients = project_to_tie(a, pair).coefficients
-    assert len(shapes) == 1
-    assert all(np.prod(shape) <= 4 * n for shape in shapes[0])
     assert coefficients.shape == (n * (n - 1) // 2 - 1,)
+    assert np.isfinite(coefficients).all()
     work, work_pair, _ = relabel_pair(a, pair)
     q, r = (np.array(z_set(work_pair).pairs) - 1).T
     c_block = (work[q, r] - work[r, q]) / 2
