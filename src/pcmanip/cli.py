@@ -329,7 +329,7 @@ def cmd_tip(args, out) -> int:
                                         delta=tip.delta, scale="additive", matrix=matrix,
                                         extra_distance=tip.extra_distance,
                                         total_distance=tip.total_distance,
-                                        verdict=asdict(verdict), tolerances=asdict(x.tol)),
+                                        verdict=verdict._asdict(), tolerances=asdict(x.tol)),
                    lines=lambda: [f"tipped matrix, {x.label(tip.winner)} wins "
                                   f"(delta = {tip.delta:g}, additive scale):",
                                   _text_matrix(matrix),

@@ -23,7 +23,6 @@ from .core import (
     Ranking,
     Tolerances,
     additive_weights,
-    frobenius_distance,
     matched_values,
     overflow_safe,
     pair_values,
@@ -51,8 +50,8 @@ def emi(a, b) -> float:
     m = max_changed_entries(va.shape[0])
     if m <= 0:
         raise PcmError(f"EMI undefined for n = {va.shape[0]}")
-    return overflow_safe(lambda x, y: np.abs(
-        d := np.subtract(x, y, out=_workspace(x, y)), out=d).sum() / m, va, vb)
+    return overflow_safe(lambda x, y: np.add.reduce(np.abs(
+        d := np.subtract(x, y, out=_workspace(x, y)), out=d), None) / m, va, vb)
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def pair_report(
         projected=projection.projected,
         abs_diff=diff,
         emi=tie_costs(projection.gap, pair.n)[1],
-        nonzero_count=int(np.count_nonzero(diff > 1e-12)),
+        nonzero_count=int(np.count_nonzero(diff)),  # exactly 0 off the pair's rows and columns
         distance=projection.distance,
         weights_before=weights_before,
         weights_after=weights_after,
@@ -95,8 +94,7 @@ def pair_report(
     )
 
 
-@dataclass(frozen=True)
-class TipResult:
+class TipResult(NamedTuple):
     """The tie projection nudged so one of the pair strictly wins."""
 
     tipped: AdditivePcm
@@ -124,14 +122,14 @@ def tip_pair(projection: ProjectionResult, winner: int, delta: float = DEFAULT_D
     extra = abs(shift) * math.sqrt(2.0)
     if not max(extra, abs(sum(tipped[i].tolist())), abs(sum(tipped[j].tolist()))) < math.inf:
         raise PcmError(f"delta = {delta} takes the tipped matrix beyond float64")
-    return TipResult(
-        tipped=AdditivePcm(tipped),
-        pair=pair,
-        winner=winner,
-        delta=delta,
-        extra_distance=extra,
-        total_distance=frobenius_distance(projection.original, tipped),
-    )
+    return TipResult(AdditivePcm(tipped), pair, winner, delta, extra,
+                     overflow_safe(_distance, projection.original.values, tipped))
+
+
+def _distance(x, y):
+    """frobenius_distance's np.linalg.norm(x - y), bit for bit, without its Python wrapper."""
+    d = (x - y).ravel(order="K")
+    return np.sqrt(d.dot(d))
 
 
 class PairScanRow(NamedTuple):
@@ -177,8 +175,7 @@ def scan_all_pairs(a) -> PairScanTable:
     return PairScanTable(n=n, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class ManipulationVerdict:
+class ManipulationVerdict(NamedTuple):
     """Outcome of checking a claimed manipulation."""
 
     passed: bool
@@ -205,8 +202,9 @@ def verify_manipulation(
     if winner not in (pair.i, pair.j):
         raise InvalidWinnerError(winner, pair.i, pair.j)
     loser = pair.j if winner == pair.i else pair.i
-    w_orig = additive_weights(pair_values(original, pair))
-    w_tip = additive_weights(pair_values(tipped, pair))
+    # additive_weights' row means, of the arrays pair_values has read and checked
+    w_orig = np.add.reduce(pair_values(original, pair), axis=1) / pair.n
+    w_tip = np.add.reduce(pair_values(tipped, pair), axis=1) / pair.n
     messages = []
 
     gap = float(w_tip[winner - 1] - w_tip[loser - 1])
@@ -228,10 +226,5 @@ def verify_manipulation(
     if already_winning:
         messages.append("original ranking already had the winner ahead")
 
-    return ManipulationVerdict(
-        winner_leads=winner_leads,
-        others_preserved=others_preserved,
-        already_winning=already_winning,
-        passed=winner_leads and others_preserved,
-        messages=tuple(messages),
-    )
+    return ManipulationVerdict(winner_leads and others_preserved, winner_leads, others_preserved,
+                               already_winning, tuple(messages))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ class Relabeling:
     undo = apply
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     """Projection of an additive PCM onto a tie space."""
 
     original: AdditivePcm
@@ -176,15 +176,10 @@ def tie_costs(f, n: int) -> tuple:
 def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
     """Closest matrix to validate_additive(a) (Frobenius) whose weights tie the given pair.
     A copy of the input is kept, so later changes to it do not leak in."""
-    original = validate_additive(a).values.copy()
+    original = AdditivePcm(validate_additive(a).values.copy())
     f = tie_gap(original, pair)
-    return ProjectionResult(
-        original=AdditivePcm(original),
-        projected=AdditivePcm(_tie_projection(original, pair, f)),
-        distance=tie_costs(f, pair.n)[0],
-        pair=pair,
-        gap=f,
-    )
+    return ProjectionResult(original, AdditivePcm(_tie_projection(original.values, pair, f)),
+                            tie_costs(f, pair.n)[0], pair, f)
 
 
 def tie_normal_matrix(pair: AlternativePair) -> np.ndarray:

@@ -123,6 +123,12 @@ class TestUniformDifferenceStructure:
         diff = abs_difference(a, project_to_tie(a, pair).projected)
         assert np.count_nonzero(diff > 1e-12) == max_changed_entries(7)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-15])
+    def test_nonzero_count_sees_tiny_changes(self, scale):
+        upper = np.triu(np.random.default_rng(0).uniform(-1, 1, (6, 6)), 1)
+        report = pair_report((upper - upper.T) * scale, AlternativePair(2, 5, 6))
+        assert report.nonzero_count == max_changed_entries(6) == np.count_nonzero(report.abs_diff)
+
 
 class TestTipPair:
     def test_third_alternative_wins(self):

@@ -126,6 +126,15 @@ class TestTieBasis:
         with pytest.raises(PairRequiresRelabelingError):
             tie_basis(AlternativePair(2, 5, 5))
 
+    def test_one_pass_build_equals_generator_matrix(self):
+        for n in range(3, 11):
+            for pair in canonical_pairs(n):
+                basis = tie_basis(pair)
+                assert len(basis.matrices) == len(basis.labels) == tie_space_dimension(n)
+                for (kind, params), b in zip(basis.labels, basis.matrices):
+                    g = generator_matrix(kind, params, pair)
+                    assert (b.dtype, b.shape, b.tobytes()) == (g.dtype, g.shape, g.tobytes())
+
     def test_dimension(self):
         assert tie_space_dimension(5) == 9
         assert tie_space_dimension(2) == 0
