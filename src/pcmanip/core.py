@@ -252,9 +252,13 @@ def gmm_weights(m) -> np.ndarray:
 
 
 def additive_weights(a) -> np.ndarray:
-    """Row means: np.mean(values, axis=1) bit for bit, without its Python-level wrapper.  An
-    AdditivePcm is trusted; other input must be square with n >= 2, and is not validated."""
-    values = a.values if isinstance(a, AdditivePcm) else _as_square(a, np.asarray)
+    """Row means by ``_row_means``.  An AdditivePcm is trusted; other input must be square with
+    n >= 2, and is not validated."""
+    return _row_means(a.values if isinstance(a, AdditivePcm) else _as_square(a, np.asarray))
+
+
+def _row_means(values: np.ndarray) -> np.ndarray:
+    """np.mean(values, axis=1) bit for bit, without its Python-level wrapper."""
     return np.add.reduce(values, axis=1) / values.shape[1]
 
 
@@ -312,4 +316,11 @@ def frobenius_norm(a) -> float:
 
 
 def frobenius_distance(a, b) -> float:
-    return overflow_safe(lambda x, y: np.linalg.norm(x - y), *matched_values(a, b))
+    return overflow_safe(_distance, *matched_values(a, b))
+
+
+def _distance(x: np.ndarray, y: np.ndarray):
+    """np.linalg.norm(x - y) bit for bit, without its Python-level wrapper: the square root of
+    d . d, with d = x - y raveled in memory order."""
+    d = (x - y).ravel(order="K")
+    return np.sqrt(d.dot(d))

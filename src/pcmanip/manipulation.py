@@ -28,7 +28,9 @@ from .core import (
     pair_values,
     ranking_of,
     validate_additive,
+    _distance,
     _positive_finite,
+    _row_means,
     _workspace,
 )
 from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
@@ -50,8 +52,8 @@ def emi(a, b) -> float:
     m = max_changed_entries(va.shape[0])
     if m <= 0:
         raise PcmError(f"EMI undefined for n = {va.shape[0]}")
-    return overflow_safe(lambda x, y: np.add.reduce(np.abs(
-        d := np.subtract(x, y, out=_workspace(x, y)), out=d), None) / m, va, vb)
+    return overflow_safe(lambda x, y: np.abs(
+        d := np.subtract(x, y, out=_workspace(x, y)), out=d).sum() / m, va, vb)
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,9 @@ def tip_pair(projection: ProjectionResult, winner: int, delta: float = DEFAULT_D
     extra = abs(shift) * math.sqrt(2.0)
     if not max(extra, abs(sum(tipped[i].tolist())), abs(sum(tipped[j].tolist()))) < math.inf:
         raise PcmError(f"delta = {delta} takes the tipped matrix beyond float64")
+    # frobenius_distance, on arrays already read and matched
     return TipResult(AdditivePcm(tipped), pair, winner, delta, extra,
                      overflow_safe(_distance, projection.original.values, tipped))
-
-
-def _distance(x, y):
-    """frobenius_distance's np.linalg.norm(x - y), bit for bit, without its Python wrapper."""
-    d = (x - y).ravel(order="K")
-    return np.sqrt(d.dot(d))
 
 
 class PairScanRow(NamedTuple):
@@ -202,9 +199,8 @@ def verify_manipulation(
     if winner not in (pair.i, pair.j):
         raise InvalidWinnerError(winner, pair.i, pair.j)
     loser = pair.j if winner == pair.i else pair.i
-    # additive_weights' row means, of the arrays pair_values has read and checked
-    w_orig = np.add.reduce(pair_values(original, pair), axis=1) / pair.n
-    w_tip = np.add.reduce(pair_values(tipped, pair), axis=1) / pair.n
+    w_orig = _row_means(pair_values(original, pair))  # additive_weights, on arrays read once
+    w_tip = _row_means(pair_values(tipped, pair))
     messages = []
 
     gap = float(w_tip[winner - 1] - w_tip[loser - 1])

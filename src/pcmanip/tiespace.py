@@ -41,19 +41,19 @@ class AlternativePair:
     n: int
 
     def __post_init__(self):
-        i, j, n = self.i, self.j, self.n
-        for name, value in (("i", i), ("j", j), ("n", n)):
+        for name in ("i", "j", "n"):
             try:
-                operator.index(value)
+                operator.index(getattr(self, name))
             except TypeError:
-                raise PcmError(f"{name} = {value!r} must be an integer") from None
-        if i == j:
-            raise PcmError(f"pair indices must differ, got ({i},{j})")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise PcmError(f"pair ({i},{j}) out of range for n = {n}")
-        if i > j:
-            object.__setattr__(self, "i", j)
-            object.__setattr__(self, "j", i)
+                raise PcmError(f"{name} = {getattr(self, name)!r} must be an integer") from None
+        if self.i == self.j:
+            raise PcmError(f"pair indices must differ, got ({self.i},{self.j})")
+        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
+            raise PcmError(f"pair ({self.i},{self.j}) out of range for n = {self.n}")
+        if self.i > self.j:
+            i, j = self.j, self.i
+            object.__setattr__(self, "i", i)
+            object.__setattr__(self, "j", j)
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,12 @@ def generator_matrix(kind: str, params, pair: AlternativePair) -> np.ndarray:
     """The dense n x n form of one generator, E(own) + s * E(j, n) by ``_generator_entry``,
     which checks the label.  kind "C" takes params = (q, r) from the Z set; kinds "D", "E",
     "F", "G" take a single integer p."""
-    (k, l), s = _generator_entry(kind, params, pair)
-    out = np.zeros((pair.n, pair.n))
+    return _dense(*_generator_entry(kind, params, pair), pair)
+
+
+def _dense(own: tuple[int, int], s: int, pair: AlternativePair) -> np.ndarray:
+    """E(own) + s * E(j, n) as a dense n x n array."""
+    (k, l), out = own, np.zeros((pair.n, pair.n))
     out[k - 1, l - 1], out[pair.j - 1, pair.n - 1] = 1, s
     return out - out.T
 
@@ -143,18 +147,12 @@ def tie_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
 
 
 def tie_basis(pair: AlternativePair) -> TieBasis:
-    """The generator matrices in ``tie_labels`` order, byte for byte as ``generator_matrix``
-    builds them, written in one pass into one array.  Requires i < j < n."""
-    i, j, n = pair.i, pair.j, pair.n
-    if j == n:
-        raise PairRequiresRelabelingError(i, j, n)
+    """The generator matrices in ``tie_labels`` order: a C label's own is its (q, r), with
+    s = 0, and the D-G entries come from one ``_pair_block``.  Requires i < j < n."""
+    if pair.j == pair.n:
+        raise PairRequiresRelabelingError(pair.i, pair.j, pair.n)
     labels, block = tie_labels(pair), _pair_block(pair)
-    own, s = zip(*block.values())
-    c = len(labels) - len(block)  # the C block, whose own is its label's (q, r) and s is 0
-    k, l = np.array([*(qr for _, qr in labels[:c]), *own]).T - 1
-    out = np.zeros((len(labels), n, n))
-    out[np.arange(len(labels)), k, l], out[c:, j - 1, n - 1] = 1, s
-    return TieBasis(pair, tuple(out - out.transpose(0, 2, 1)), labels)
+    return TieBasis(pair, tuple(_dense(*block.get(g, (g[1], 0)), pair) for g in labels), labels)
 
 
 def is_tie_equating(a, pair: AlternativePair, tol: float = DEFAULT_TOLERANCES.ranking_tie) -> bool:

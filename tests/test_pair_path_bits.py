@@ -1,7 +1,8 @@
 """The pair path's distance, verdict and EMI, pinned bit for bit to the
-library routes they shortcut: frobenius_distance, additive_weights and
-the plain sum.  Inputs reach n = 40, magnitudes up to 1e308 (where
-overflow_safe redoes a sum scaled), F-ordered arrays and j = n."""
+library routes and to numpy's own: frobenius_distance and np.linalg.norm,
+additive_weights and np.mean, and the plain sum.  Inputs reach n = 40,
+magnitudes up to 1e308 (where overflow_safe redoes a sum scaled),
+F-ordered arrays and j = n."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -58,13 +59,17 @@ def test_tip_distance_is_frobenius_distance(case, delta, fortran):
         tip = tip_pair(projection, winner, delta)
     except PcmError:  # row sums, or the tip, beyond float64
         return
-    want = frobenius_distance(projection.original, tip.tipped)
-    assert np.float64(tip.total_distance).tobytes() == np.float64(want).tobytes()
+    norm = overflow_safe(lambda x, y: np.linalg.norm(x - y),
+                         projection.original.values, tip.tipped.values)
+    for got in (tip.total_distance, frobenius_distance(projection.original, tip.tipped)):
+        assert np.float64(got).tobytes() == np.float64(norm).tobytes()
 
 
 def _reference_verdict(original, tipped, pair, winner, tol):
-    """verify_manipulation's rules on additive_weights' row means."""
-    w_orig, w_tip = additive_weights(original), additive_weights(tipped)
+    """verify_manipulation's rules on np.mean's row means, which additive_weights gives."""
+    w_orig, w_tip = (np.mean(getattr(m, "values", m), axis=1) for m in (original, tipped))
+    for m, w in ((original, w_orig), (tipped, w_tip)):
+        assert additive_weights(m).tobytes() == w.tobytes()
     loser = pair.i + pair.j - winner
     gap = float(w_tip[winner - 1] - w_tip[loser - 1])
     moved = np.abs(w_tip - w_orig)

@@ -126,7 +126,7 @@ class TestTieBasis:
         with pytest.raises(PairRequiresRelabelingError):
             tie_basis(AlternativePair(2, 5, 5))
 
-    def test_one_pass_build_equals_generator_matrix(self):
+    def test_basis_equals_generator_matrix_per_label(self):
         for n in range(3, 11):
             for pair in canonical_pairs(n):
                 basis = tie_basis(pair)
