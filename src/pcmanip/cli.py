@@ -226,11 +226,6 @@ def _text_vector(values) -> str:
     return "(" + ", ".join(map(_num, values)) + ")"
 
 
-def _jsonable(obj):
-    """json.dumps hook for numpy arrays and scalars."""
-    return obj.tolist()
-
-
 def _render(args, out, payload, lines, rows=None, code=EXIT_OK) -> int:
     """Print one report in the format args.output names; return code.
 
@@ -239,7 +234,7 @@ def _render(args, out, payload, lines, rows=None, code=EXIT_OK) -> int:
     print.  A report without CSV rows prints its text lines instead.
     """
     if args.output == "json":
-        print(json.dumps(payload(), indent=2, default=_jsonable), file=out)
+        print(json.dumps(payload(), indent=2, default=np.ndarray.tolist), file=out)
     elif args.output == "csv" and rows is not None:
         csv.writer(out, lineterminator="\n").writerows(rows())
     else:

@@ -16,6 +16,7 @@ every index that crosses an API boundary (pairs, errors, reports) is
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -80,6 +81,21 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def _tolerances(tol) -> Tolerances:
+    """tol, which must be a Tolerances: a bare float has no field to read."""
+    if not isinstance(tol, Tolerances):
+        raise PcmError(f"tol = {tol!r} must be a Tolerances")
+    return tol
+
+
+def _integer(value, name: str) -> int:
+    """operator.index(value), so a numpy integer or a bool comes back an int; 1.0 is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PcmError(f"{name} = {value!r} must be an integer") from None
 
 
 def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
@@ -196,15 +212,14 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
 
 @np.errstate(over="ignore", invalid="ignore")  # inf * 0 or an overflow fails acceptance
 def _check_multiplicative(matrix, tol: Tolerances) -> MultiplicativePcm:
-    values = _as_square(matrix)
-    products = np.multiply(values, values.T, out=_workspace(values, values.T), order="C")
+    tol, values = _tolerances(tol), _as_square(matrix)
+    products = np.multiply(values, values.T, out=_workspace(values, values.T))
     # min and max propagate NaN, so a NaN or inf entry fails here too
     if not (np.minimum.reduce(values, axis=None) > 0
             and np.maximum.reduce(products, axis=None) - 1.0 <= tol.reciprocity
             and 1.0 - np.minimum.reduce(products, axis=None) <= tol.reciprocity):
         residual = np.abs(np.subtract(products, 1.0, out=products), out=products)
-        diagonal = residual.reshape(-1)[::values.shape[0] + 1]  # a view: residual is C-ordered
-        np.abs(np.subtract(values.diagonal(), 1.0, out=diagonal), out=diagonal)
+        np.fill_diagonal(residual, np.abs(values.diagonal() - 1.0))
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
         _raise_first(values <= 0, NonPositiveEntryError, values)
         _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual, upper=True)
@@ -220,7 +235,7 @@ def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditiveP
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite results fail below
 def _check_additive(matrix, tol: Tolerances) -> AdditivePcm:
-    values = _as_square(matrix)
+    tol, values = _tolerances(tol), _as_square(matrix)
     residual = np.add(values, values.T, out=_workspace(values, values.T))
     np.abs(residual, out=residual)
     if not np.maximum.reduce(residual, axis=None) <= tol.antisymmetry:  # NaN and inf fail too
@@ -285,10 +300,11 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     """
     if (w := _as_floats(np.asarray, weights, vector=True)).ndim != 1:
         raise PcmError(f"expected a vector of weights, got shape {w.shape}")
+    tie = _tolerances(tol).ranking_tie
     order = np.argsort(-w, kind="stable")  # the key (-w[k], k)
     ws = w[order]
     ks = (order + 1).tolist()
-    cuts = (np.flatnonzero(~(np.abs(ws[:-1] - ws[1:]) <= tol.ranking_tie)) + 1).tolist()
+    cuts = (np.flatnonzero(~(np.abs(ws[:-1] - ws[1:]) <= tie)) + 1).tolist()
     groups = (ks[a:b] for a, b in zip([0, *cuts], [*cuts, len(ks)]) if a < b)
     return Ranking(tuple(tuple(sorted(g)) if len(g) > 1 else tuple(g) for g in groups))
 

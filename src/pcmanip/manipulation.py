@@ -29,11 +29,13 @@ from .core import (
     ranking_of,
     validate_additive,
     _distance,
+    _integer,
     _positive_finite,
     _row_means,
+    _tolerances,
     _workspace,
 )
-from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
+from .errors import InvalidWinnerError, NonPositiveDeltaError, NotSquareError, PcmError
 from .projection import ProjectionResult, max_changed_entries, project_to_tie, tie_costs
 from .tiespace import AlternativePair
 
@@ -49,6 +51,8 @@ def abs_difference(a, b) -> np.ndarray:
 def emi(a, b) -> float:
     """Average absolute entry change of any two matrices, normalized by 4n - 6."""
     va, vb = matched_values(a, b)
+    if va.ndim != 2 or va.shape[0] != va.shape[1]:
+        raise NotSquareError(va.shape)
     m = max_changed_entries(va.shape[0])
     if m <= 0:
         raise PcmError(f"EMI undefined for n = {va.shape[0]}")
@@ -107,25 +111,30 @@ class TipResult(NamedTuple):
     total_distance: float
 
 
-def tip_pair(projection: ProjectionResult, winner: int, delta: float = DEFAULT_DELTA) -> TipResult:
-    """Shift the (i, j) entry of the projected matrix by +-delta so the
-    chosen alternative strictly leads the other by 2*delta/n, leaving
-    every other row untouched; a tip beyond float64 is refused."""
-    pair = projection.pair
-    if winner not in (pair.i, pair.j):
+def _winner_rows(pair: AlternativePair, winner) -> tuple[int, int]:
+    """The 0-based rows (w, l) of the winner, an integer that is one of the pair, and the loser."""
+    if (winner := _integer(winner, "winner")) not in (pair.i, pair.j):
         raise InvalidWinnerError(winner, pair.i, pair.j)
+    return (pair.i - 1, pair.j - 1) if winner == pair.i else (pair.j - 1, pair.i - 1)
+
+
+def tip_pair(projection: ProjectionResult, winner: int, delta: float = DEFAULT_DELTA) -> TipResult:
+    """Add delta to the winner's entry against the loser in the projected matrix and take it
+    from the mirror entry, so the winner strictly leads by 2*delta/n and every other row is left
+    untouched; a tip beyond float64 is refused."""
+    pair = projection.pair
+    w, l = _winner_rows(pair, winner)
     if not _positive_finite(delta):
         raise NonPositiveDeltaError(delta)
-    i, j = pair.i - 1, pair.j - 1
-    shift = float(delta) if winner == pair.i else -float(delta)
+    d = float(delta)
     tipped = projection.projected.values.copy()
     # Python floats overflow to inf without a warning
-    tipped[i, j], tipped[j, i] = float(tipped[i, j]) + shift, float(tipped[j, i]) - shift
-    extra = abs(shift) * math.sqrt(2.0)
-    if not max(extra, abs(sum(tipped[i].tolist())), abs(sum(tipped[j].tolist()))) < math.inf:
+    tipped[w, l], tipped[l, w] = float(tipped[w, l]) + d, float(tipped[l, w]) - d
+    extra = d * math.sqrt(2.0)
+    if not max(extra, abs(sum(tipped[w].tolist())), abs(sum(tipped[l].tolist()))) < math.inf:
         raise PcmError(f"delta = {delta} takes the tipped matrix beyond float64")
     # frobenius_distance, on arrays already read and matched
-    return TipResult(AdditivePcm(tipped), pair, winner, delta, extra,
+    return TipResult(AdditivePcm(tipped), pair, w + 1, delta, extra,
                      overflow_safe(_distance, projection.original.values, tipped))
 
 
@@ -196,29 +205,28 @@ def verify_manipulation(
     weight within the ranking-tie tolerance.  Also reports whether the
     original ranking already had the winner ahead.
     """
-    if winner not in (pair.i, pair.j):
-        raise InvalidWinnerError(winner, pair.i, pair.j)
-    loser = pair.j if winner == pair.i else pair.i
-    w_orig = _row_means(pair_values(original, pair))  # additive_weights, on arrays read once
-    w_tip = _row_means(pair_values(tipped, pair))
+    w, l = _winner_rows(pair, winner)
+    weights_orig = _row_means(pair_values(original, pair))  # additive_weights, on arrays read once
+    weights_tip = _row_means(pair_values(tipped, pair))
+    tie = _tolerances(tol).ranking_tie
     messages = []
 
-    gap = float(w_tip[winner - 1] - w_tip[loser - 1])
-    winner_leads = gap > tol.ranking_tie
+    gap = float(weights_tip[w] - weights_tip[l])
+    winner_leads = gap > tie
     if not winner_leads:
         messages.append(
-            f"alternative {winner} does not strictly lead {loser} "
+            f"alternative {w + 1} does not strictly lead {l + 1} "
             f"(weight gap {gap:.3e})"
         )
 
-    moved = np.abs(w_tip - w_orig)
-    moved[pair.i - 1] = moved[pair.j - 1] = 0.0
+    moved = np.abs(weights_tip - weights_orig)
+    moved[w] = moved[l] = 0.0
     drift = float(np.maximum.reduce(moved))
-    others_preserved = drift <= tol.ranking_tie
+    others_preserved = drift <= tie
     if not others_preserved:
         messages.append(f"non-pair weight changed by {drift:.3e}")
 
-    already_winning = float(w_orig[winner - 1] - w_orig[loser - 1]) > tol.ranking_tie
+    already_winning = float(weights_orig[w] - weights_orig[l]) > tie
     if already_winning:
         messages.append("original ranking already had the winner ahead")
 

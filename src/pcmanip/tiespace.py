@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, _positive_finite, pair_values
+from .core import DEFAULT_TOLERANCES, _integer, _positive_finite, pair_values
 from .errors import ParamOutOfRangeError, PairRequiresRelabelingError, PcmError
 
 GeneratorLabel = tuple[str, tuple[int, ...]]
@@ -33,7 +33,7 @@ GeneratorLabel = tuple[str, tuple[int, ...]]
 class AlternativePair:
     """An unordered pair of distinct alternatives in a size-n problem.
 
-    Canonicalized so that i < j.  Indices are 1-based.
+    Canonicalized so that i < j, each stored as an int.  Indices are 1-based.
     """
 
     i: int
@@ -41,19 +41,14 @@ class AlternativePair:
     n: int
 
     def __post_init__(self):
-        for name in ("i", "j", "n"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise PcmError(f"{name} = {getattr(self, name)!r} must be an integer") from None
-        if self.i == self.j:
-            raise PcmError(f"pair indices must differ, got ({self.i},{self.j})")
-        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise PcmError(f"pair ({self.i},{self.j}) out of range for n = {self.n}")
-        if self.i > self.j:
-            i, j = self.j, self.i
-            object.__setattr__(self, "i", i)
-            object.__setattr__(self, "j", j)
+        i, j, n = _integer(self.i, "i"), _integer(self.j, "j"), _integer(self.n, "n")
+        if i == j:
+            raise PcmError(f"pair indices must differ, got ({i},{j})")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise PcmError(f"pair ({i},{j}) out of range for n = {n}")
+        if i > j:
+            i, j = j, i
+        vars(self).update(i=i, j=j, n=n)  # frozen: one dict update, past __setattr__
 
 
 @dataclass(frozen=True)
@@ -79,11 +74,7 @@ class ZSet:
 
 
 def tie_space_dimension(n: int) -> int:
-    try:  # as AlternativePair reads n: 2.5 is not an integer
-        n = operator.index(n)
-    except TypeError:
-        raise PcmError(f"n = {n!r} must be an integer") from None
-    if n < 2:
+    if (n := _integer(n, "n")) < 2:
         raise PcmError(f"n must be >= 2, got {n}")
     return (n * n - n) // 2 - 1
 
@@ -107,11 +98,10 @@ def _pair_block(pair: AlternativePair) -> dict[GeneratorLabel, tuple[tuple[int, 
 
 def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[int, int], int]:
     """(own, s) of the generator E(own) + s * E(j, n) with a label given from outside, checked:
-    j < n, a known kind, and integer parameters, (q, r) for C, with q < r both outside {i, j},
-    own (q, r) and s = 0, or one p for D-G, whose range and entry ``_pair_block`` holds."""
-    i, j, n = pair.i, pair.j, pair.n
-    if j == n:
-        raise PairRequiresRelabelingError(i, j, n)
+    j < n, a known kind, and integer parameters, (q, r) for C, a pair of ``z_set``, own (q, r)
+    and s = 0, or one p for D-G, whose range and entry ``_pair_block`` holds."""
+    if pair.j == pair.n:
+        raise PairRequiresRelabelingError(pair.i, pair.j, pair.n)
     if kind not in ("C", "D", "E", "F", "G"):
         raise ParamOutOfRangeError(kind, params, "unknown generator kind")
     try:  # as AlternativePair reads its indices, by operator.index: 2.9 is not 2
@@ -120,7 +110,7 @@ def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[in
         ints = ()
     if len(ints) != (2 if kind == "C" else 1):
         raise ParamOutOfRangeError(kind, params, "C takes integers (q, r), D-G one integer p")
-    if kind == "C" and 1 <= ints[0] < ints[1] <= n and not set(ints) & {i, j}:
+    if kind == "C" and ints in z_set(pair).pairs:
         return ints, 0
     if (kind, ints) in (block := _pair_block(pair)):  # D-G: their legal ranges live there
         return block[kind, ints]

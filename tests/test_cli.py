@@ -312,6 +312,22 @@ class TestRobustInput:
         code, out = run(["weights", str(path)])
         assert (code, out) == (EXIT_PARSE, "")
 
+    @pytest.mark.parametrize("names", ['["a"]', '["a", "b", "c"]', '"ab"', '{"a": 1}'])
+    def test_names_that_are_not_one_per_alternative_are_a_parse_error(self, tmp_path, names):
+        path = tmp_path / "m.json"
+        path.write_text('{"scale": "additive", "matrix": [[0, 1], [-1, 0]], '
+                        f'"names": {names}}}')
+        with pytest.raises(CliParseError, match="^expected 2 names, got "):
+            parse_matrix_file(str(path))
+        code, out = run(["weights", str(path)])
+        assert (code, out) == (EXIT_PARSE, "")
+
+    def test_a_names_header_of_the_wrong_length_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b,c\n0,1\n-1,0\n")
+        with pytest.raises(CliParseError, match=r"^expected 2 names, got \['a', 'b', 'c'\]$"):
+            parse_matrix_file(str(path), "additive", expect_names=True)
+
     @pytest.mark.parametrize("command", ["validate", "weights", "scan"])
     def test_nan_csv_exits_3(self, tmp_path, command, capsys):
         path = tmp_path / "nan.csv"

@@ -1,14 +1,16 @@
 """Input rules that the other suites do not reach: a truncated JSON file,
 a JSON object without a matrix, tied groups in a ranking's text, and EMI
-for a single alternative."""
+for a single alternative or for input that is not a square matrix."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 
 from pcmanip import PcmError, emi, ranking_of
 from pcmanip.cli import EXIT_PARSE, main
+from pcmanip.errors import NotSquareError
 
 
 def run_weights(path, capsys):
@@ -40,3 +42,9 @@ def test_ranking_text_braces_a_tied_group():
 def test_emi_is_undefined_for_one_alternative():
     with pytest.raises(PcmError, match=r"^EMI undefined for n = 1$"):
         emi(np.zeros((1, 1)), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 3), (2, 2, 2)], ids=str)
+def test_emi_needs_a_square_matrix(shape):
+    with pytest.raises(NotSquareError, match=rf"got shape {re.escape(str(shape))}$"):
+        emi(np.ones(shape), np.zeros(shape))

@@ -1,13 +1,15 @@
 """Inputs of the wrong type get a PcmError, not numpy's TypeError,
 ValueError or IndexError: a pair index or size that is not an integer,
 a matrix numpy cannot read as float64 numbers, a weight vector that is
-not one, and a tolerance or delta that is not a real number.  A
-MultiplicativePcm given where additive values are expected is told to
-convert with to_additive first, and an AdditivePcm given where
-multiplicative values are expected with to_multiplicative; a PCM given
-as a weight vector is told no conversion.  Every value that must be
+not one, a tolerance or delta that is not a real number, and a tol that
+is not a Tolerances.  A MultiplicativePcm given where additive values
+are expected is told to convert with to_additive first, and an
+AdditivePcm given where multiplicative values are expected with
+to_multiplicative; a PCM given as a weight vector is told no conversion.  Every value that must be
 positive and finite (a tolerance, a tip delta, is_tie_equating's tol)
-is read by one predicate, so one table holds for all of them.
+is read by one predicate, so one table holds for all of them; every
+integer argument (a pair's indices and size, a tip's or a verdict's
+winner) is read by one rule, so one table holds for those too.
 
 The validators are the one door into a validated PCM: each returns its
 own type as it is, and every function that needs a valid matrix reads
@@ -40,6 +42,7 @@ from pcmanip import (
     ranking_of,
     scan_all_pairs,
     tie_gap,
+    tie_space_dimension,
     tip_pair,
     to_additive,
     to_multiplicative,
@@ -292,6 +295,68 @@ def test_every_positive_finite_rule_rejects_the_same_values(rule, value):
 @pytest.mark.parametrize("rule", POSITIVE_FINITE_RULES)
 def test_every_positive_finite_rule_accepts_the_same_values(rule, value):
     POSITIVE_FINITE_RULES[rule](value)
+
+
+NOT_INTEGERS = [1.0, np.float64(2.0), 2.5, "1", None]
+
+# every argument that must be an integer: the name its error gives, and a call that reads it
+# (2 is valid for each)
+INTEGER_RULES = {
+    "AlternativePair i": ("i", lambda value: AlternativePair(value, 5, 5)),
+    "AlternativePair j": ("j", lambda value: AlternativePair(1, value, 5)),
+    "AlternativePair n": ("n", lambda value: AlternativePair(1, 2, value)),
+    "tie_space_dimension n": ("n", tie_space_dimension),
+    "tip_pair winner": ("winner", lambda value: tip_pair(project_to_tie(EXAMPLE_A, PAIR), value)),
+    "verify_manipulation winner": ("winner", lambda value: verify_manipulation(
+        EXAMPLE_A, EXAMPLE_A, PAIR, value)),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("rule", INTEGER_RULES)
+def test_every_integer_rule_rejects_the_same_values(rule, value):
+    name, call = INTEGER_RULES[rule]
+    with pytest.raises(PcmError, match=f"^{name} = .* must be an integer$"):
+        call(value)
+
+
+@pytest.mark.parametrize("rule", INTEGER_RULES)
+def test_every_integer_rule_accepts_a_numpy_integer(rule):
+    INTEGER_RULES[rule][1](np.int64(2))
+
+
+@pytest.mark.parametrize("value", [np.int64(2), np.uint8(2), True], ids=repr)
+def test_an_integer_argument_is_kept_as_an_int(value):
+    pair = AlternativePair(value, 3, np.int32(3))
+    assert all(type(k) is int for k in (pair.i, pair.j, pair.n))
+    assert hash(pair) == hash(AlternativePair(int(value), 3, 3))
+    tip = tip_pair(project_to_tie(EXAMPLE_A, PAIR), value)
+    assert type(tip.winner) is int and tip.winner == int(value)
+
+
+NOT_TOLERANCES = [1e-9, None, "1e-9", {"ranking_tie": 1e-9}, (1e-8, 1e-9, 1e-9)]
+
+# every call whose tol must be a Tolerances, on a raw (unvalidated) input
+TOLERANCE_RULES = {
+    "validate_additive": lambda tol: validate_additive(EXAMPLE_A, tol),
+    "validate_multiplicative": lambda tol: validate_multiplicative(EXAMPLE_M, tol),
+    "ranking_of": lambda tol: ranking_of([1.0, 2.0, 1.0], tol),
+    "pair_report": lambda tol: pair_report(EXAMPLE_A, PAIR, tol),
+    "verify_manipulation": lambda tol: verify_manipulation(EXAMPLE_A, EXAMPLE_A, PAIR, 1, tol=tol),
+}
+
+
+@pytest.mark.parametrize("value", NOT_TOLERANCES, ids=repr)
+@pytest.mark.parametrize("rule", TOLERANCE_RULES)
+def test_every_tol_that_is_not_a_tolerances_is_a_pcm_error(rule, value):
+    with pytest.raises(PcmError, match=r"^tol = .* must be a Tolerances$"):
+        TOLERANCE_RULES[rule](value)
+
+
+@pytest.mark.parametrize("value", [DEFAULT_TOLERANCES, Tolerances(1e-3, 1e-3, 1e-3)], ids=repr)
+@pytest.mark.parametrize("rule", TOLERANCE_RULES)
+def test_every_tol_that_is_a_tolerances_is_accepted(rule, value):
+    TOLERANCE_RULES[rule](value)
 
 
 @pytest.mark.parametrize("apart, tied", [(0.5, True), (2.0, False)])
