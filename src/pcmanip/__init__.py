@@ -51,7 +51,6 @@ from .projection import (
 from .tiespace import (
     AlternativePair,
     TieBasis,
-    ZSet,
     generator_matrix,
     is_tie_equating,
     tie_basis,
@@ -77,7 +76,6 @@ __all__ = [
     "TieBasis",
     "TipResult",
     "Tolerances",
-    "ZSet",
     "abs_difference",
     "additive_weights",
     "basis_projection",

@@ -19,6 +19,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,7 +111,8 @@ def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
         raise PcmError(f"expected an array of numbers, got {type(x).__name__}: {hint}") from None
 
 
-def _as_square(matrix, convert=np.array) -> np.ndarray:
+def _as_square(matrix, convert=partial(np.array, order="C")) -> np.ndarray:
+    """The validators' copy is C-ordered, so every later reduction adds in one order."""
     values = _as_floats(convert, matrix)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
         raise NotSquareError(values.shape)

@@ -50,27 +50,6 @@ class OrthogonalBasis:
         return self.flat.shape[0]
 
 
-@dataclass(frozen=True)
-class Relabeling:
-    """Index permutation applied before projecting; perm maps new -> old.
-
-    ``apply`` conjugates a matrix into the relabeled frame.  perm is the
-    identity or one transposition (``relabel_pair``), its own inverse, so
-    ``apply`` also conjugates back; ``undo`` is another name for it.
-    """
-
-    perm: tuple[int, ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return values[np.ix_(self.perm, self.perm)]
-
-    undo = apply
-
-
 class ProjectionResult(NamedTuple):
     """Projection of an additive PCM onto a tie space."""
 
@@ -124,8 +103,10 @@ def gram_schmidt(basis: TieBasis) -> OrthogonalBasis:
 
 @lru_cache(maxsize=256)
 def orthogonal_basis_for(n: int, i: int, j: int) -> OrthogonalBasis:
-    """Cached basis + orthogonalization for a canonical pair (i < j < n)."""
-    return gram_schmidt(tie_basis(AlternativePair(i, j, n)))
+    """Cached basis + orthogonalization for a canonical pair (i < j < n); shared, so read-only."""
+    h = gram_schmidt(tie_basis(AlternativePair(i, j, n)))
+    h.flat.flags.writeable = h.squared_norms.flags.writeable = False
+    return h
 
 
 def projection_coefficients(a, h: OrthogonalBasis) -> np.ndarray:
@@ -133,21 +114,22 @@ def projection_coefficients(a, h: OrthogonalBasis) -> np.ndarray:
     return h.flat @ pair_values(a, h.pair).ravel() / h.squared_norms
 
 
-def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair, Relabeling]:
-    """Conjugate so the pair satisfies i < j < n.
+def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair, list[int]]:
+    """Conjugate so the pair satisfies i < j < n: the values as values[np.ix_(perm, perm)],
+    the pair, and perm, which maps new -> old indices (0-based).
 
     When j = n, index n is swapped with the largest index below n that
-    is outside the pair; otherwise the identity is returned.
+    is outside the pair; otherwise perm is the identity.  Either way perm
+    is its own inverse, so the same np.ix_ conjugates back.
     """
     values = pair_values(a, pair)
     n = pair.n
-    if pair.j < n:
-        return values, pair, Relabeling(tuple(range(n)))
-    k = n - 1 if (n - 1) != pair.i else n - 2
     perm = list(range(n))
+    if pair.j < n:
+        return values, pair, perm
+    k = n - 1 if (n - 1) != pair.i else n - 2
     perm[k - 1], perm[n - 1] = perm[n - 1], perm[k - 1]
-    relabeling = Relabeling(tuple(perm))
-    return relabeling.apply(values), AlternativePair(pair.i, k, n), relabeling  # which sorts i, k
+    return values[np.ix_(perm, perm)], AlternativePair(pair.i, k, n), perm  # which sorts i, k
 
 
 def basis_projection(a, pair: AlternativePair) -> np.ndarray:
@@ -155,9 +137,9 @@ def basis_projection(a, pair: AlternativePair) -> np.ndarray:
     values, n = pair_values(a, pair), pair.n
     if n == 2:  # the tie space is {0}
         return np.zeros_like(values)
-    work, work_pair, relabeling = relabel_pair(values, pair)
+    work, work_pair, perm = relabel_pair(values, pair)
     h = orthogonal_basis_for(n, work_pair.i, work_pair.j)
-    return relabeling.apply((projection_coefficients(work, h) @ h.flat).reshape(n, n))
+    return (projection_coefficients(work, h) @ h.flat).reshape(n, n)[np.ix_(perm, perm)]
 
 
 def max_changed_entries(n: int) -> int:

@@ -63,26 +63,16 @@ class TieBasis:
         return len(self.matrices)
 
 
-@dataclass(frozen=True)
-class ZSet:
-    """Index pairs above the diagonal disjoint from the fixed pair."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 def tie_space_dimension(n: int) -> int:
     if (n := _integer(n, "n")) < 2:
         raise PcmError(f"n must be >= 2, got {n}")
     return (n * n - n) // 2 - 1
 
 
-def z_set(pair: AlternativePair) -> ZSet:
+def z_set(pair: AlternativePair) -> tuple[tuple[int, int], ...]:
     """All (q, r) with 1 <= q < r <= n and {q,r} disjoint from {i,j}, lexicographic."""
     others = [k for k in range(1, pair.n + 1) if k not in (pair.i, pair.j)]
-    return ZSet(tuple(combinations(others, 2)))
+    return tuple(combinations(others, 2))
 
 
 def _pair_block(pair: AlternativePair) -> dict[GeneratorLabel, tuple[tuple[int, int], int]]:
@@ -110,7 +100,7 @@ def _generator_entry(kind: str, params, pair: AlternativePair) -> tuple[tuple[in
         ints = ()
     if len(ints) != (2 if kind == "C" else 1):
         raise ParamOutOfRangeError(kind, params, "C takes integers (q, r), D-G one integer p")
-    if kind == "C" and ints in z_set(pair).pairs:
+    if kind == "C" and ints in z_set(pair):
         return ints, 0
     if (kind, ints) in (block := _pair_block(pair)):  # D-G: their legal ranges live there
         return block[kind, ints]
@@ -133,7 +123,7 @@ def _dense(own: tuple[int, int], s: int, pair: AlternativePair) -> np.ndarray:
 
 def tie_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
     """The basis order, (n^2 - n)/2 - 1 labels: the C block of ``z_set``, then ``_pair_block``."""
-    return (*[("C", qr) for qr in z_set(pair).pairs], *_pair_block(pair))
+    return (*[("C", qr) for qr in z_set(pair)], *_pair_block(pair))
 
 
 def tie_basis(pair: AlternativePair) -> TieBasis:

@@ -49,7 +49,7 @@ def exact_coefficients(a, pair) -> list:
     alone."""
     work, pair, _ = relabel_pair(a, pair)
     exact = lambda k, l: Fraction(float(work[k, l]))  # noqa: E731
-    out = [(exact(q - 1, r - 1) - exact(r - 1, q - 1)) / 2 for q, r in z_set(pair).pairs]
+    out = [(exact(q - 1, r - 1) - exact(r - 1, q - 1)) / 2 for q, r in z_set(pair)]
     rows, low, sq = _d_to_g_gram_schmidt(pair.n, pair.i, pair.j)
     z = []  # <x, h_k> = (L^-1 R x)_k, by forward substitution
     for lk, r in zip(low, rows):

@@ -5,6 +5,7 @@ from pcmanip import (
     AlternativePair,
     TieBasis,
     additive_weights,
+    basis_projection,
     frobenius_distance,
     frobenius_norm,
     gram_schmidt,
@@ -248,14 +249,14 @@ class TestHyperplaneOracle:
 class TestRelabelPair:
     def test_canonical_pair_is_identity(self):
         values, pair, rel = relabel_pair(EXAMPLE_A, EXAMPLE_PAIR)
-        assert rel.is_identity
+        assert rel == list(range(5))
         assert (pair.i, pair.j) == (2, 3)
         assert np.array_equal(values, EXAMPLE_A)
 
     def test_last_index_is_swapped_out(self):
         _, pair, rel = relabel_pair(np.zeros((5, 5)), AlternativePair(3, 5, 5))
         assert (pair.i, pair.j) == (3, 4)
-        assert not rel.is_identity
+        assert rel != list(range(5))
 
     def test_reversed_pair_is_canonicalized(self):
         _, pair, _ = relabel_pair(np.zeros((5, 5)), AlternativePair(5, 2, 5))
@@ -268,7 +269,7 @@ class TestRelabelPair:
     def test_conjugation_round_trip(self, rng):
         a = random_antisymmetric(rng, 6)
         values, _, rel = relabel_pair(a, AlternativePair(2, 6, 6))
-        assert np.allclose(rel.undo(values), a)
+        assert np.allclose(values[np.ix_(rel, rel)], a)
 
     def test_projection_commutes_with_conjugation(self, rng):
         # j = n pairs go through relabeling inside project_to_tie; the
@@ -297,6 +298,19 @@ class TestResultIndependence:
         assert result.distance == before[2]
         assert np.allclose(result.coefficients,
                            project_to_tie(before[0], pair).coefficients, atol=0)
+
+    def test_cached_basis_is_read_only(self, rng):
+        """Every caller shares one cached basis, so none may write to it; the basis that
+        gram_schmidt returns itself stays the caller's."""
+        h = orthogonal_basis_for(6, 2, 4)
+        for array in (h.flat, h.squared_norms, h.matrices[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        assert gram_schmidt(tie_basis(AlternativePair(2, 4, 6))).flat.flags.writeable
+        a = random_antisymmetric(rng, 6)
+        for pair in (AlternativePair(2, 4, 6), AlternativePair(4, 6, 6)):  # (4, 6) uses (4, 5)
+            assert np.allclose(basis_projection(a, pair),
+                               hyperplane_oracle_project(a, pair).values, atol=1e-12)
 
 
 class TestOrthogonalBasisStorage:

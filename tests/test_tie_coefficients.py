@@ -59,7 +59,7 @@ def test_request_route_builds_no_vector_of_length_n_squared(monkeypatch, rng, pa
     assert coefficients.shape == (n * (n - 1) // 2 - 1,)
     assert np.isfinite(coefficients).all()
     work, work_pair, _ = relabel_pair(a, pair)
-    q, r = (np.array(z_set(work_pair).pairs) - 1).T
+    q, r = (np.array(z_set(work_pair)) - 1).T
     c_block = (work[q, r] - work[r, q]) / 2
     assert coefficients[:len(c_block)].tobytes() == c_block.tobytes()
 

@@ -24,6 +24,7 @@ from pcmanip import (
 from pcmanip.cli import EXIT_OK, _num
 from pcmanip.errors import PcmError
 
+from strategies import layout_cases
 from test_cli import run
 from test_reference_route import matrix_and_pair
 
@@ -84,6 +85,17 @@ def test_report_and_projection_match_the_scan_bit_for_bit(case):
     a, pair = case
     row = _scan_row(a, pair)
     assert pair_report(a, pair).emi == row.emi
+    assert project_to_tie(a, pair).distance == row.distance
+
+
+@given(layout_cases(min_n=3))  # the scan starts at n = 3
+@settings(max_examples=100, deadline=None)
+def test_report_and_projection_match_the_scan_in_every_layout(case):
+    """The same bits whatever the input's memory layout, scale or signed zeros: each
+    route reads the validator's C-ordered copy, so every row sum adds in one order."""
+    a, pair, _ = case
+    row, report = _scan_row(a, pair), pair_report(a, pair)
+    assert (report.emi, report.distance) == (row.emi, row.distance)
     assert project_to_tie(a, pair).distance == row.distance
 
 

@@ -32,7 +32,7 @@ def range_labels(i, j, n):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_z_set_is_the_double_loop(n):
     for pair in all_pairs(n):
-        assert z_set(pair).pairs == loop_z_set(pair.i, pair.j, n)
+        assert z_set(pair) == loop_z_set(pair.i, pair.j, n)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
