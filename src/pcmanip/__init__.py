@@ -39,7 +39,6 @@ from .manipulation import (
     verify_manipulation,
 )
 from .projection import (
-    OrthogonalBasis,
     ProjectionResult,
     basis_projection,
     gram_schmidt,
@@ -50,7 +49,6 @@ from .projection import (
 )
 from .tiespace import (
     AlternativePair,
-    TieBasis,
     generator_matrix,
     is_tie_equating,
     tie_basis,
@@ -68,12 +66,10 @@ __all__ = [
     "ManipulationReport",
     "ManipulationVerdict",
     "MultiplicativePcm",
-    "OrthogonalBasis",
     "PairScanTable",
     "PcmError",
     "ProjectionResult",
     "Ranking",
-    "TieBasis",
     "TipResult",
     "Tolerances",
     "abs_difference",

@@ -16,38 +16,16 @@ both routes and a constrained least-squares solve to 1e-9 of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import AdditivePcm, overflow_safe, pair_values, validate_additive
-from .errors import DegenerateBasisError
-from .tiespace import AlternativePair, TieBasis, _pair_block, tie_basis, tie_gap
+from .core import AdditivePcm, matched_values, overflow_safe, pair_values, validate_additive
+from .errors import DegenerateBasisError, PcmError
+from .tiespace import AlternativePair, _pair_block, tie_basis, tie_gap
 
 _MIN_SQ_NORM = 1e-12
-
-
-@dataclass(frozen=True)
-class OrthogonalBasis:
-    """Pairwise Frobenius-orthogonal basis of one tie space.
-
-    Elements are kept un-normalized so they match hand-computed
-    fractional forms exactly.  ``flat`` holds them as rows of length n*n
-    for fast inner products; ``matrices`` reads them as (n, n) views.
-    """
-
-    pair: AlternativePair
-    flat: np.ndarray
-    squared_norms: np.ndarray
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.flat.reshape(-1, self.pair.n, self.pair.n))
-
-    def __len__(self) -> int:
-        return self.flat.shape[0]
 
 
 class ProjectionResult(NamedTuple):
@@ -84,34 +62,40 @@ class ProjectionResult(NamedTuple):
                                overflow_safe(d_to_g, work[k, l], work[pair.j - 1, -1:])])
 
 
-def gram_schmidt(basis: TieBasis) -> OrthogonalBasis:
-    """Un-normalized classical Gram-Schmidt of a dense tie basis, order preserved, ravelled:
-    each generator less its projection onto the ones before it, none for the first."""
-    dim = len(basis)
-    flat = np.stack([b.ravel() for b in basis.matrices])
+def gram_schmidt(basis) -> tuple[np.ndarray, np.ndarray]:
+    """Un-normalized classical Gram-Schmidt of a stack of equally shaped generators, read as
+    float64, order preserved: each less its projection onto the ones before it, none for the
+    first.  Returns the orthogonal stack, in the input's shape, and its squared norms; kept
+    un-normalized, the elements match the paper's hand-computed fractional forms."""
+    basis = np.asarray(basis, dtype=float)
+    flat = basis.reshape(len(basis), -1)
     ortho = np.zeros_like(flat)
-    sq_norms = np.zeros(dim)
-    for k in range(dim):
+    sq_norms = np.zeros(len(flat))
+    for k in range(len(flat)):
         v = flat[k] - (ortho[:k] @ flat[k] / sq_norms[:k]) @ ortho[:k]
         sq = float(v @ v)
         if sq < _MIN_SQ_NORM:
             raise DegenerateBasisError(k + 1, sq)
         ortho[k] = v
         sq_norms[k] = sq
-    return OrthogonalBasis(basis.pair, ortho, sq_norms)
+    return ortho.reshape(basis.shape), sq_norms
 
 
-@lru_cache(maxsize=256)
-def orthogonal_basis_for(n: int, i: int, j: int) -> OrthogonalBasis:
-    """Cached basis + orthogonalization for a canonical pair (i < j < n); shared, so read-only."""
-    h = gram_schmidt(tie_basis(AlternativePair(i, j, n)))
-    h.flat.flags.writeable = h.squared_norms.flags.writeable = False
-    return h
+@lru_cache(maxsize=256, typed=True)  # typed: n = 5.0 is checked, not served as 5
+def orthogonal_basis_for(n: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gram_schmidt(tie_basis(...))`` for a canonical pair (i < j < n), cached: the
+    orthogonal (dim, n, n) stack and its squared norms, shared, so both read-only."""
+    orthogonal, squared_norms = gram_schmidt(tie_basis(AlternativePair(i, j, n)))
+    orthogonal.flags.writeable = squared_norms.flags.writeable = False
+    return orthogonal, squared_norms
 
 
-def projection_coefficients(a, h: OrthogonalBasis) -> np.ndarray:
-    """Expansion coefficients <A,H_k> / <H_k,H_k> along the orthogonal basis."""
-    return h.flat @ pair_values(a, h.pair).ravel() / h.squared_norms
+def projection_coefficients(a, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Expansion coefficients <A,H_k> / <H_k,H_k> along an orthogonal basis, the
+    (orthogonal, squared_norms) pair of ``gram_schmidt``; a has the shape of each H_k."""
+    orthogonal, squared_norms = basis
+    values, _ = matched_values(a, orthogonal[0])
+    return orthogonal.reshape(len(orthogonal), -1) @ values.ravel() / squared_norms
 
 
 def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair, list[int]]:
@@ -127,6 +111,8 @@ def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair,
     perm = list(range(n))
     if pair.j < n:
         return values, pair, perm
+    if n == 2:
+        raise PcmError("n = 2 has no index outside the pair to swap with n: its tie space is {0}")
     k = n - 1 if (n - 1) != pair.i else n - 2
     perm[k - 1], perm[n - 1] = perm[n - 1], perm[k - 1]
     return values[np.ix_(perm, perm)], AlternativePair(pair.i, k, n), perm  # which sorts i, k
@@ -138,8 +124,9 @@ def basis_projection(a, pair: AlternativePair) -> np.ndarray:
     if n == 2:  # the tie space is {0}
         return np.zeros_like(values)
     work, work_pair, perm = relabel_pair(values, pair)
-    h = orthogonal_basis_for(n, work_pair.i, work_pair.j)
-    return (projection_coefficients(work, h) @ h.flat).reshape(n, n)[np.ix_(perm, perm)]
+    basis = orthogonal_basis_for(n, work_pair.i, work_pair.j)
+    flat = basis[0].reshape(len(basis[0]), -1)
+    return (projection_coefficients(work, basis) @ flat).reshape(n, n)[np.ix_(perm, perm)]
 
 
 def max_changed_entries(n: int) -> int:

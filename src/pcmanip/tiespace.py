@@ -51,18 +51,6 @@ class AlternativePair:
         vars(self).update(i=i, j=j, n=n)  # frozen: one dict update, past __setattr__
 
 
-@dataclass(frozen=True)
-class TieBasis:
-    """Ordered basis of one pair's tie space: the dense (n, n) generators, with their labels."""
-
-    pair: AlternativePair
-    matrices: tuple[np.ndarray, ...]
-    labels: tuple[GeneratorLabel, ...]
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-
 def tie_space_dimension(n: int) -> int:
     if (n := _integer(n, "n")) < 2:
         raise PcmError(f"n must be >= 2, got {n}")
@@ -126,13 +114,14 @@ def tie_labels(pair: AlternativePair) -> tuple[GeneratorLabel, ...]:
     return (*[("C", qr) for qr in z_set(pair)], *_pair_block(pair))
 
 
-def tie_basis(pair: AlternativePair) -> TieBasis:
-    """The generator matrices in ``tie_labels`` order: a C label's own is its (q, r), with
-    s = 0, and the D-G entries come from one ``_pair_block``.  Requires i < j < n."""
+def tie_basis(pair: AlternativePair) -> np.ndarray:
+    """The generator matrices stacked (dim, n, n) in ``tie_labels`` order: a C label's own is
+    its (q, r), with s = 0, and the D-G entries come from one ``_pair_block``.  Requires
+    i < j < n."""
     if pair.j == pair.n:
         raise PairRequiresRelabelingError(pair.i, pair.j, pair.n)
-    labels, block = tie_labels(pair), _pair_block(pair)
-    return TieBasis(pair, tuple(_dense(*block.get(g, (g[1], 0)), pair) for g in labels), labels)
+    block = _pair_block(pair)
+    return np.stack([_dense(*block.get(g, (g[1], 0)), pair) for g in tie_labels(pair)])
 
 
 def is_tie_equating(a, pair: AlternativePair, tol: float = DEFAULT_TOLERANCES.ranking_tie) -> bool:

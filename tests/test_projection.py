@@ -3,7 +3,6 @@ import pytest
 
 from pcmanip import (
     AlternativePair,
-    TieBasis,
     additive_weights,
     basis_projection,
     frobenius_distance,
@@ -16,7 +15,7 @@ from pcmanip import (
     tie_basis,
     tie_gap,
 )
-from pcmanip.errors import DegenerateBasisError, DimensionMismatchError
+from pcmanip.errors import DegenerateBasisError, DimensionMismatchError, PcmError
 from pcmanip.projection import orthogonal_basis_for, tie_normal_matrix
 
 from refdata import (
@@ -61,56 +60,55 @@ def constrained_lstsq_project(a: np.ndarray, pair: AlternativePair) -> np.ndarra
 
 class TestGramSchmidt:
     def test_reference_orthogonal_basis(self):
-        h = gram_schmidt(tie_basis(EXAMPLE_PAIR))
-        assert len(h) == 9
-        for got, expected in zip(h.matrices, EXAMPLE_ORTHOGONAL):
+        orthogonal, squared_norms = gram_schmidt(tie_basis(EXAMPLE_PAIR))
+        assert orthogonal.shape == (9, 5, 5)
+        for got, expected in zip(orthogonal, EXAMPLE_ORTHOGONAL):
             assert np.allclose(got, expected, atol=1e-9)
-        assert np.allclose(h.squared_norms, EXAMPLE_SQUARED_NORMS, atol=1e-9)
+        assert np.allclose(squared_norms, EXAMPLE_SQUARED_NORMS, atol=1e-9)
 
     def test_orthogonal_input_is_unchanged(self):
         # the first four reference basis matrices are already mutually
         # orthogonal
-        basis = TieBasis(
-            EXAMPLE_PAIR,
-            tuple(EXAMPLE_BASIS[:4]),
-            (("C", (1, 4)), ("C", (1, 5)), ("C", (4, 5)), ("D", (1,))),
-        )
-        h = gram_schmidt(basis)
-        for got, src in zip(h.matrices, basis.matrices):
+        basis = tuple(EXAMPLE_BASIS[:4])
+        orthogonal, _ = gram_schmidt(basis)
+        for got, src in zip(orthogonal, basis):
             assert np.allclose(got, src, atol=1e-12)
 
     def test_degenerate_input_is_rejected(self):
-        basis = TieBasis(
-            EXAMPLE_PAIR,
-            (EXAMPLE_BASIS[0], EXAMPLE_BASIS[0]),
-            (("C", (1, 4)), ("C", (1, 4))),
-        )
+        basis = (EXAMPLE_BASIS[0], EXAMPLE_BASIS[0])
         with pytest.raises(DegenerateBasisError):
             gram_schmidt(basis)
+
+    def test_integer_generators_are_read_as_float64(self):
+        basis = tie_basis(AlternativePair(2, 3, 5))
+        exact, ints = gram_schmidt(basis), gram_schmidt(basis.astype(np.int64))
+        assert ints[0].dtype == ints[1].dtype == np.float64
+        assert ints[0].tobytes() == exact[0].tobytes()
+        assert ints[1].tobytes() == exact[1].tobytes()
 
     def test_pairwise_orthogonality_small_n(self):
         for n in range(3, 9):
             for i in range(1, n):
                 for j in range(i + 1, n):
-                    h = orthogonal_basis_for(n, i, j)
-                    gram = h.flat @ h.flat.T
+                    flat = orthogonal_basis_for(n, i, j)[0].reshape(-1, n * n)
+                    gram = flat @ flat.T
                     off = gram - np.diag(np.diag(gram))
                     assert np.max(np.abs(off)) < 1e-9
 
     def test_span_is_preserved(self, rng):
         basis = tie_basis(EXAMPLE_PAIR)
         h = gram_schmidt(basis)
-        for b in basis.matrices:
+        for b in basis:
             coeffs = projection_coefficients(b, h)
-            assert np.allclose((coeffs @ h.flat).reshape(5, 5), b, atol=1e-9)
+            assert np.allclose((coeffs @ h[0].reshape(9, 25)).reshape(5, 5), b, atol=1e-9)
 
 
 class TestProjectionCoefficients:
     def test_reference_table(self):
         h = orthogonal_basis_for(5, 2, 3)
-        inner = h.flat @ EXAMPLE_A.ravel()
+        inner = h[0].reshape(9, 25) @ EXAMPLE_A.ravel()
         assert np.allclose(inner, EXAMPLE_INNER_PRODUCTS, atol=1e-9)
-        assert np.allclose(h.squared_norms, EXAMPLE_SQUARED_NORMS, atol=1e-9)
+        assert np.allclose(h[1], EXAMPLE_SQUARED_NORMS, atol=1e-9)
         coeffs = projection_coefficients(EXAMPLE_A, h)
         assert np.allclose(coeffs, EXAMPLE_COEFFICIENTS, atol=1e-9)
         # truncated decimal forms of the published table
@@ -123,7 +121,7 @@ class TestProjectionCoefficients:
 
     def test_basis_element_has_unit_coordinate(self):
         h = orthogonal_basis_for(5, 2, 3)
-        coeffs = projection_coefficients(h.matrices[1], h)
+        coeffs = projection_coefficients(h[0][1], h)
         expected = np.zeros(9)
         expected[1] = 1.0
         assert np.allclose(coeffs, expected, atol=1e-12)
@@ -148,7 +146,7 @@ class TestProjectToTie:
     def test_fixes_tie_space_members(self, rng):
         basis = tie_basis(EXAMPLE_PAIR)
         coeffs = rng.uniform(-5, 5, size=len(basis))
-        a = sum(c * b for c, b in zip(coeffs, basis.matrices))
+        a = sum(c * b for c, b in zip(coeffs, basis))
         result = project_to_tie(a, EXAMPLE_PAIR)
         assert np.allclose(result.projected.values, a, atol=1e-9)
         assert result.distance < 1e-9
@@ -193,7 +191,7 @@ class TestProjectToTie:
         result = project_to_tie(EXAMPLE_A, EXAMPLE_PAIR)
         h = orthogonal_basis_for(5, 2, 3)
         samples = rng.uniform(-10, 10, size=(1000, 9))
-        candidates = samples @ h.flat
+        candidates = samples @ h[0].reshape(9, 25)
         dists = np.linalg.norm(candidates - EXAMPLE_A.ravel(), axis=1)
         assert np.all(dists >= result.distance - 1e-9)
 
@@ -226,7 +224,7 @@ class TestHyperplaneOracle:
 
     def test_tie_member_is_unchanged(self, rng):
         basis = tie_basis(EXAMPLE_PAIR)
-        a = sum(c * b for c, b in zip(rng.uniform(-5, 5, size=9), basis.matrices))
+        a = sum(c * b for c, b in zip(rng.uniform(-5, 5, size=9), basis))
         got = hyperplane_oracle_project(a, EXAMPLE_PAIR)
         assert np.allclose(got.values, a, atol=1e-12)
 
@@ -266,6 +264,10 @@ class TestRelabelPair:
         _, pair, _ = relabel_pair(np.zeros((5, 5)), AlternativePair(4, 5, 5))
         assert (pair.i, pair.j) == (3, 4)
 
+    def test_n2_has_no_index_to_swap_with(self):
+        with pytest.raises(PcmError, match=r"n = 2 has no index outside the pair"):
+            relabel_pair(np.zeros((2, 2)), AlternativePair(1, 2, 2))
+
     def test_conjugation_round_trip(self, rng):
         a = random_antisymmetric(rng, 6)
         values, _, rel = relabel_pair(a, AlternativePair(2, 6, 6))
@@ -302,23 +304,22 @@ class TestResultIndependence:
     def test_cached_basis_is_read_only(self, rng):
         """Every caller shares one cached basis, so none may write to it; the basis that
         gram_schmidt returns itself stays the caller's."""
-        h = orthogonal_basis_for(6, 2, 4)
-        for array in (h.flat, h.squared_norms, h.matrices[0]):
+        orthogonal, squared_norms = orthogonal_basis_for(6, 2, 4)
+        for array in (orthogonal, squared_norms, orthogonal[0]):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
-        assert gram_schmidt(tie_basis(AlternativePair(2, 4, 6))).flat.flags.writeable
+        assert all(x.flags.writeable for x in gram_schmidt(tie_basis(AlternativePair(2, 4, 6))))
         a = random_antisymmetric(rng, 6)
         for pair in (AlternativePair(2, 4, 6), AlternativePair(4, 6, 6)):  # (4, 6) uses (4, 5)
             assert np.allclose(basis_projection(a, pair),
                                hyperplane_oracle_project(a, pair).values, atol=1e-12)
 
-
-class TestOrthogonalBasisStorage:
-    def test_flat_is_stored_once(self):
-        h = gram_schmidt(tie_basis(EXAMPLE_PAIR))
-        assert h.flat is h.flat
-        assert h.flat.shape == (9, 25)
-        for k, m in enumerate(h.matrices):
-            assert m.shape == (5, 5)
-            assert np.shares_memory(m, h.flat)
-            assert np.array_equal(m.ravel(), h.flat[k])
+    def test_cache_does_not_accept_a_float_n(self):
+        """lru_cache keys 5.0 and 5 alike unless typed, so a cached (5, 2, 3) basis would
+        answer n = 5.0, which AlternativePair rejects while the cache is empty."""
+        orthogonal_basis_for.cache_clear()
+        with pytest.raises(PcmError, match="must be an integer"):
+            orthogonal_basis_for(5.0, 2, 3)
+        orthogonal_basis_for(5, 2, 3)
+        with pytest.raises(PcmError, match="must be an integer"):
+            orthogonal_basis_for(5.0, 2, 3)
