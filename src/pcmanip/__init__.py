@@ -14,8 +14,6 @@ from .core import (
     Tolerances,
     additive_weights,
     frobenius_distance,
-    frobenius_inner,
-    frobenius_norm,
     gmm_weights,
     normalize_weights,
     ranking_of,
@@ -40,21 +38,15 @@ from .manipulation import (
 )
 from .projection import (
     ProjectionResult,
-    basis_projection,
-    gram_schmidt,
     hyperplane_oracle_project,
     project_to_tie,
-    projection_coefficients,
     relabel_pair,
 )
 from .tiespace import (
     AlternativePair,
-    generator_matrix,
     is_tie_equating,
-    tie_basis,
     tie_gap,
     tie_space_dimension,
-    z_set,
 )
 
 __version__ = "0.1.0"
@@ -74,25 +66,18 @@ __all__ = [
     "Tolerances",
     "abs_difference",
     "additive_weights",
-    "basis_projection",
     "emi",
     "frobenius_distance",
-    "frobenius_inner",
-    "frobenius_norm",
-    "generator_matrix",
     "gmm_weights",
-    "gram_schmidt",
     "hyperplane_oracle_project",
     "is_tie_equating",
     "max_changed_entries",
     "normalize_weights",
     "pair_report",
     "project_to_tie",
-    "projection_coefficients",
     "ranking_of",
     "relabel_pair",
     "scan_all_pairs",
-    "tie_basis",
     "tie_gap",
     "tie_space_dimension",
     "tip_pair",
@@ -101,5 +86,4 @@ __all__ = [
     "validate_additive",
     "validate_multiplicative",
     "verify_manipulation",
-    "z_set",
 ]

@@ -311,12 +311,6 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     return Ranking(tuple(tuple(sorted(g)) if len(g) > 1 else tuple(g) for g in groups))
 
 
-def frobenius_inner(a, b) -> float:
-    """Entry-wise product sum of two equally sized matrices."""
-    va, vb = matched_values(a, b)
-    return overflow_safe(lambda x: np.add.reduce(x * vb, None), va)  # bilinear: scale va alone
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a decorator costs half what a with block does
 def overflow_safe(reduce, *arrays):
     """reduce(*arrays) for a reduce that scales with its arguments, as a float or an array;
@@ -327,10 +321,6 @@ def overflow_safe(reduce, *arrays):
         e = np.frexp(max(np.abs(x).max() for x in arrays))[1]
         result = np.ldexp(reduce(*(np.ldexp(x, -e) for x in arrays)), e)
     return result if getattr(result, "ndim", 0) else float(result)
-
-
-def frobenius_norm(a) -> float:
-    return overflow_safe(np.linalg.norm, additive_values(a))
 
 
 def frobenius_distance(a, b) -> float:

@@ -73,35 +73,6 @@ class OverflowDomainError(EntryError):
     requirement = "exceeds the exponent range of float64"
 
 
-class ParamOutOfRangeError(PcmError):
-    def __init__(self, kind, param, detail=""):
-        msg = f"parameter {param} out of range for generator kind {kind}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.kind, self.param = kind, param
-
-
-class PairRequiresRelabelingError(PcmError):
-    """Signal that a pair with j = n needs permutation handling upstream."""
-
-    def __init__(self, i, j, n):
-        super().__init__(
-            f"pair ({i},{j}) with j = n = {n} requires index relabeling; "
-            "route through the projection layer"
-        )
-        self.i, self.j, self.n = i, j, n
-
-
-class DegenerateBasisError(PcmError):
-    def __init__(self, k, sq_norm):
-        super().__init__(
-            f"orthogonalized basis element {k} has squared norm {sq_norm:.3e}; "
-            "source basis is not linearly independent"
-        )
-        self.k, self.sq_norm = k, sq_norm
-
-
 class InvalidWinnerError(PcmError):
     def __init__(self, winner, i, j):
         super().__init__(f"winner {winner} must be one of the pair ({i},{j})")

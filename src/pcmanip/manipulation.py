@@ -11,7 +11,6 @@ change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -60,8 +59,7 @@ def emi(a, b) -> float:
         d := np.subtract(x, y, out=_workspace(x, y)), out=d).sum() / m, va, vb)
 
 
-@dataclass(frozen=True)
-class ManipulationReport:
+class ManipulationReport(NamedTuple):
     """Everything the tie projection changed for one pair."""
 
     pair: AlternativePair
@@ -148,8 +146,7 @@ class PairScanRow(NamedTuple):
     f_value: float
 
 
-@dataclass(frozen=True)
-class PairScanTable:
+class PairScanTable(NamedTuple):
     """Per-pair manipulation cost, easiest (lowest EMI) first."""
 
     n: int

@@ -1,31 +1,31 @@
 """Orthogonal projection of an additive PCM onto a tie space.
 
 The tie space of a pair is the hyperplane of antisymmetric matrices
-orthogonal to the tie normal matrix N, so ``project_to_tie`` uses the
-closed form A - (f/n) * N, with f the pair's row-sum gap, in O(n^2), and
-reads its coefficients off the pair's rows and columns in O(n^2).
+orthogonal to the tie normal matrix N: +-1 at the pair's two entries,
++-1/2 along its rows and columns, zero elsewhere, with squared Frobenius
+norm n.  So ``project_to_tie`` uses the closed form A - (f/n) * N, with
+f the pair's row-sum gap, in O(n^2), and reads its coefficients along
+the paper's orthogonal tie basis off the pair's rows and columns in
+O(n^2).  Pairs with j = n fall outside the basis construction and are
+conjugated with an index transposition (a Frobenius isometry that
+permutes row sums), ``relabel_pair``, and back.
 
-``basis_projection`` keeps the paper's construction as the reference:
-tie-space basis, un-normalized Gram-Schmidt under the Frobenius inner
-product, then coefficient expansion.  Pairs with j = n fall outside the
-basis construction and are conjugated with an index transposition (a
-Frobenius isometry that permutes row sums) and back.  The tests hold
-both routes and a constrained least-squares solve to 1e-9 of each other.
+The paper's own construction, the generator basis, un-normalized
+Gram-Schmidt and coefficient expansion, is the tests' reference route
+(``tests/reference.py``); they hold both routes and a constrained
+least-squares solve to 1e-9 of each other.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import AdditivePcm, matched_values, overflow_safe, pair_values, validate_additive
-from .errors import DegenerateBasisError, PcmError
-from .tiespace import AlternativePair, _pair_block, tie_basis, tie_gap
-
-_MIN_SQ_NORM = 1e-12
+from .core import AdditivePcm, overflow_safe, pair_values, validate_additive
+from .errors import PcmError
+from .tiespace import AlternativePair, _pair_block, tie_gap
 
 
 class ProjectionResult(NamedTuple):
@@ -48,7 +48,7 @@ class ProjectionResult(NamedTuple):
         if self.pair.n == 2:  # the tie space is {0}
             return np.zeros(0)
         work, pair, _ = relabel_pair(self.original.values, self.pair)
-        off_pair = np.triu(np.ones_like(work, dtype=bool), 1)  # row-major, as z_set orders C
+        off_pair = np.triu(np.ones_like(work, dtype=bool), 1)  # row-major, the C block's order
         off_pair[[pair.i - 1, pair.j - 1]] = off_pair[:, [pair.i - 1, pair.j - 1]] = False
         own, s = zip(*_pair_block(pair).values())
         (k, l), s = np.array(own).T - 1, np.array(s, dtype=float)
@@ -60,42 +60,6 @@ class ProjectionResult(NamedTuple):
 
         return np.concatenate([work[off_pair] / 2 - work.T[off_pair] / 2,
                                overflow_safe(d_to_g, work[k, l], work[pair.j - 1, -1:])])
-
-
-def gram_schmidt(basis) -> tuple[np.ndarray, np.ndarray]:
-    """Un-normalized classical Gram-Schmidt of a stack of equally shaped generators, read as
-    float64, order preserved: each less its projection onto the ones before it, none for the
-    first.  Returns the orthogonal stack, in the input's shape, and its squared norms; kept
-    un-normalized, the elements match the paper's hand-computed fractional forms."""
-    basis = np.asarray(basis, dtype=float)
-    flat = basis.reshape(len(basis), -1)
-    ortho = np.zeros_like(flat)
-    sq_norms = np.zeros(len(flat))
-    for k in range(len(flat)):
-        v = flat[k] - (ortho[:k] @ flat[k] / sq_norms[:k]) @ ortho[:k]
-        sq = float(v @ v)
-        if sq < _MIN_SQ_NORM:
-            raise DegenerateBasisError(k + 1, sq)
-        ortho[k] = v
-        sq_norms[k] = sq
-    return ortho.reshape(basis.shape), sq_norms
-
-
-@lru_cache(maxsize=256, typed=True)  # typed: n = 5.0 is checked, not served as 5
-def orthogonal_basis_for(n: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """``gram_schmidt(tie_basis(...))`` for a canonical pair (i < j < n), cached: the
-    orthogonal (dim, n, n) stack and its squared norms, shared, so both read-only."""
-    orthogonal, squared_norms = gram_schmidt(tie_basis(AlternativePair(i, j, n)))
-    orthogonal.flags.writeable = squared_norms.flags.writeable = False
-    return orthogonal, squared_norms
-
-
-def projection_coefficients(a, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Expansion coefficients <A,H_k> / <H_k,H_k> along an orthogonal basis, the
-    (orthogonal, squared_norms) pair of ``gram_schmidt``; a has the shape of each H_k."""
-    orthogonal, squared_norms = basis
-    values, _ = matched_values(a, orthogonal[0])
-    return orthogonal.reshape(len(orthogonal), -1) @ values.ravel() / squared_norms
 
 
 def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair, list[int]]:
@@ -116,17 +80,6 @@ def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair,
     k = n - 1 if (n - 1) != pair.i else n - 2
     perm[k - 1], perm[n - 1] = perm[n - 1], perm[k - 1]
     return values[np.ix_(perm, perm)], AlternativePair(pair.i, k, n), perm  # which sorts i, k
-
-
-def basis_projection(a, pair: AlternativePair) -> np.ndarray:
-    """Reference route: the paper's basis expansion of the projection."""
-    values, n = pair_values(a, pair), pair.n
-    if n == 2:  # the tie space is {0}
-        return np.zeros_like(values)
-    work, work_pair, perm = relabel_pair(values, pair)
-    basis = orthogonal_basis_for(n, work_pair.i, work_pair.j)
-    flat = basis[0].reshape(len(basis[0]), -1)
-    return (projection_coefficients(work, basis) @ flat).reshape(n, n)[np.ix_(perm, perm)]
 
 
 def max_changed_entries(n: int) -> int:
@@ -151,21 +104,8 @@ def project_to_tie(a, pair: AlternativePair) -> ProjectionResult:
                             tie_costs(f, pair.n)[0], pair, f)
 
 
-def tie_normal_matrix(pair: AlternativePair) -> np.ndarray:
-    """Riesz representer of the row-sum gap functional on antisymmetric
-    matrices: +-1 at the pair positions, +-1/2 along the pair's rows
-    and columns, zero elsewhere.  Its squared Frobenius norm is n."""
-    i, j, n = pair.i - 1, pair.j - 1, pair.n
-    normal = np.zeros((n, n))
-    normal[i], normal[j] = 0.5, -0.5
-    normal[:, i], normal[:, j] = -0.5, 0.5
-    normal[i, j], normal[j, i] = 1.0, -1.0
-    normal[i, i] = normal[j, j] = 0.0
-    return normal
-
-
 def _tie_projection(values: np.ndarray, pair: AlternativePair, f: float) -> np.ndarray:
-    """values - (f/n) * tie_normal_matrix(pair), bit for bit, in O(n) after one copy."""
+    """values - (f/n) * N, N the pair's tie normal matrix, bit for bit, in O(n) after one copy."""
     i, j, c = pair.i - 1, pair.j - 1, f / pair.n
     zero, half = c * 0.0, c * 0.5
     out = values - zero  # as N's zeros do: -0.0 turns to +0.0 when c < 0

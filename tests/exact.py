@@ -10,8 +10,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from pcmanip import AlternativePair, generator_matrix, relabel_pair
-from pcmanip.tiespace import tie_labels, z_set
+from pcmanip import AlternativePair, relabel_pair
+
+from reference import generator_matrix, tie_labels, z_set
 
 
 @lru_cache(maxsize=None)

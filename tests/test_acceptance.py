@@ -13,16 +13,13 @@ from pcmanip import (
     additive_weights,
     emi,
     frobenius_distance,
-    gram_schmidt,
     hyperplane_oracle_project,
     max_changed_entries,
     project_to_tie,
     relabel_pair,
     scan_all_pairs,
-    tie_basis,
     tip_pair,
 )
-from pcmanip.projection import orthogonal_basis_for
 
 from refdata import (
     EXAMPLE_A,
@@ -39,6 +36,7 @@ from refdata import (
     family_matrix,
     random_antisymmetric,
 )
+from reference import gram_schmidt, orthogonal_basis_for, tie_basis
 from test_projection import constrained_lstsq_project
 
 

@@ -12,7 +12,6 @@ from pcmanip import (
     Tolerances,
     additive_weights,
     frobenius_distance,
-    frobenius_inner,
     gmm_weights,
     normalize_weights,
     ranking_of,
@@ -43,6 +42,7 @@ from refdata import (
     family_matrix,
     random_antisymmetric,
 )
+from reference import frobenius_inner
 
 
 class TestValidateMultiplicative:

@@ -14,7 +14,6 @@ from pcmanip import (
     Tolerances,
     additive_weights,
     emi,
-    frobenius_norm,
     normalize_weights,
     ranking_of,
     tie_space_dimension,
@@ -26,6 +25,7 @@ from pcmanip import (
 from pcmanip.errors import NotSquareError
 
 from refdata import random_antisymmetric
+from reference import frobenius_norm
 
 COMPLEX_INPUTS = {
     "ndarray": np.array([[0, 1j], [-1j, 0]]),

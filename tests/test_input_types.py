@@ -32,7 +32,6 @@ from pcmanip import (
     additive_weights,
     emi,
     frobenius_distance,
-    frobenius_norm,
     gmm_weights,
     hyperplane_oracle_project,
     is_tie_equating,
@@ -53,6 +52,7 @@ from pcmanip import (
 from pcmanip.errors import NonPositiveDeltaError, PcmError
 
 from refdata import EXAMPLE_A
+from reference import frobenius_norm
 
 PAIR = AlternativePair(1, 2, 5)
 

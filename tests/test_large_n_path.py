@@ -24,9 +24,9 @@ from pcmanip import (
     validate_multiplicative,
 )
 from pcmanip.errors import PcmError
-from pcmanip.projection import tie_normal_matrix
 
 from refdata import EXAMPLE_A, EXAMPLE_PAIR, all_pairs, random_antisymmetric
+from reference import tie_normal_matrix
 
 
 def _normal_route(a, pair):

@@ -6,21 +6,20 @@ import pytest
 
 from pcmanip import (
     AlternativePair,
-    basis_projection,
     frobenius_distance,
     hyperplane_oracle_project,
     is_tie_equating,
     pair_report,
     project_to_tie,
-    projection_coefficients,
     tie_gap,
     tip_pair,
     verify_manipulation,
 )
 from pcmanip.errors import DimensionMismatchError
-from pcmanip.projection import orthogonal_basis_for, relabel_pair
+from pcmanip.projection import relabel_pair
 
 from refdata import random_antisymmetric
+from reference import basis_projection, orthogonal_basis_for, projection_coefficients
 
 FOUR = random_antisymmetric(np.random.default_rng(5), 4)
 

@@ -4,19 +4,13 @@ import pytest
 from pcmanip import (
     AlternativePair,
     additive_weights,
-    basis_projection,
     frobenius_distance,
-    frobenius_norm,
-    gram_schmidt,
     hyperplane_oracle_project,
     project_to_tie,
-    projection_coefficients,
     relabel_pair,
-    tie_basis,
     tie_gap,
 )
-from pcmanip.errors import DegenerateBasisError, DimensionMismatchError, PcmError
-from pcmanip.projection import orthogonal_basis_for, tie_normal_matrix
+from pcmanip.errors import DimensionMismatchError, PcmError
 
 from refdata import (
     EXAMPLE_A,
@@ -30,6 +24,16 @@ from refdata import (
     EXAMPLE_WEIGHTS_PROJECTED,
     all_pairs,
     random_antisymmetric,
+)
+from reference import (
+    DegenerateBasisError,
+    basis_projection,
+    frobenius_norm,
+    gram_schmidt,
+    orthogonal_basis_for,
+    projection_coefficients,
+    tie_basis,
+    tie_normal_matrix,
 )
 
 

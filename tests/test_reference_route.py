@@ -1,21 +1,24 @@
 """The paper's basis route, kept as the reference, pinned against the
 closed form that serves every request."""
 
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pcmanip.projection
+import pcmanip
 from pcmanip import (
     AlternativePair,
     additive_weights,
-    basis_projection,
     emi,
     frobenius_distance,
     pair_report,
     project_to_tie,
-    projection_coefficients,
     relabel_pair,
     scan_all_pairs,
     tie_gap,
@@ -23,7 +26,6 @@ from pcmanip import (
     verify_manipulation,
 )
 from pcmanip.errors import DimensionMismatchError
-from pcmanip.projection import orthogonal_basis_for
 
 from refdata import (
     EXAMPLE_A,
@@ -33,6 +35,8 @@ from refdata import (
     all_pairs,
     random_antisymmetric,
 )
+import reference
+from reference import basis_projection, orthogonal_basis_for, projection_coefficients
 from test_acceptance import _suite_matrices
 
 
@@ -106,12 +110,7 @@ def test_closed_form_matches_basis_route_property(case):
     assert abs(w[pair.i - 1] - w[pair.j - 1]) <= tol
 
 
-def test_request_path_builds_no_basis(monkeypatch, rng):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("basis route called on the request path")
-
-    for name in ("tie_basis", "gram_schmidt", "orthogonal_basis_for"):
-        monkeypatch.setattr(pcmanip.projection, name, forbidden)
+def test_request_path_builds_no_basis(rng):
     n = 9
     a = random_antisymmetric(rng, n)
     for pair in (AlternativePair(2, 5, n), AlternativePair(3, n, n)):
@@ -124,3 +123,21 @@ def test_request_path_builds_no_basis(monkeypatch, rng):
     coefficients = result.coefficients  # no basis: the D-G block's Gram-Schmidt in closed form
     assert coefficients.shape == ((n * n - n) // 2 - 1,)
     assert np.isfinite(coefficients).all()
+
+
+def test_no_module_of_the_package_holds_or_imports_the_reference():
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    moved = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    moved |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets}
+    assert {"tie_basis", "DegenerateBasisError", "_MIN_SQ_NORM"} <= moved
+    modules = [pcmanip, *(importlib.import_module(f"pcmanip.{info.name}")
+                          for info in pkgutil.iter_modules(pcmanip.__path__))]
+    assert {"pcmanip.projection", "pcmanip.tiespace"} <= {m.__name__ for m in modules}
+    for module in modules:
+        assert sorted(moved & set(vars(module))) == [], module.__name__
+    for path in Path(pcmanip.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert not any("reference" in name.split(".") for name in names), path

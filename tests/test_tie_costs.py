@@ -15,7 +15,6 @@ from pcmanip import (
     additive_weights,
     emi,
     frobenius_distance,
-    frobenius_norm,
     pair_report,
     project_to_tie,
     scan_all_pairs,
@@ -24,6 +23,7 @@ from pcmanip import (
 from pcmanip.cli import EXIT_OK, _num
 from pcmanip.errors import PcmError
 
+from reference import frobenius_norm
 from strategies import layout_cases
 from test_cli import run
 from test_reference_route import matrix_and_pair

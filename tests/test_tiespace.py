@@ -3,19 +3,11 @@ import pytest
 
 from pcmanip import (
     AlternativePair,
-    generator_matrix,
     is_tie_equating,
-    tie_basis,
     tie_gap,
     tie_space_dimension,
-    z_set,
 )
-from pcmanip.tiespace import tie_labels
-from pcmanip.errors import (
-    PairRequiresRelabelingError,
-    ParamOutOfRangeError,
-    PcmError,
-)
+from pcmanip.errors import PcmError
 
 from refdata import (
     EXAMPLE_A,
@@ -24,6 +16,14 @@ from refdata import (
     EXAMPLE_BASIS_LABELS,
     EXAMPLE_PAIR,
     random_antisymmetric,
+)
+from reference import (
+    PairRequiresRelabelingError,
+    ParamOutOfRangeError,
+    generator_matrix,
+    tie_basis,
+    tie_labels,
+    z_set,
 )
 
 
