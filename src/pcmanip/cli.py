@@ -357,7 +357,7 @@ def cmd_emi(args, out) -> int:
 
 def cmd_scan(args, out) -> int:
     x = _load(args)
-    table = _from_args(scan_all_pairs, x.a)  # n = 2 is valid but has no scan
+    table = scan_all_pairs(x.a)
 
     def lines():  # the pair column widens to the longest label
         pairs = [f"({x.label(r.i)},{x.label(r.j)})" for r in table.rows]

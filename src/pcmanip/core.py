@@ -99,6 +99,13 @@ def _integer(value, name: str) -> int:
         raise PcmError(f"{name} = {value!r} must be an integer") from None
 
 
+def _size(n) -> int:
+    """n, an integer >= 2: the size of every problem, as _square reads it off a matrix."""
+    if (n := _integer(n, "n")) < 2:
+        raise PcmError(f"n must be >= 2, got {n}")
+    return n
+
+
 def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
     try:  # numpy would drop an imaginary part with only a warning; a list of numbers is read once
         found = x if isinstance(x, np.ndarray) else np.asarray(x)
@@ -111,12 +118,16 @@ def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
         raise PcmError(f"expected an array of numbers, got {type(x).__name__}: {hint}") from None
 
 
-def _as_square(matrix, convert=partial(np.array, order="C")) -> np.ndarray:
-    """The validators' copy is C-ordered, so every later reduction adds in one order."""
-    values = _as_floats(convert, matrix)
+def _square(values: np.ndarray) -> np.ndarray:
+    """values, which must be 2-D and n x n with n >= 2: the size rule of every matrix."""
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
         raise NotSquareError(values.shape)
     return values
+
+
+def _as_square(matrix, convert=partial(np.array, order="C")) -> np.ndarray:
+    """The validators' copy is C-ordered, so every later reduction adds in one order."""
+    return _square(_as_floats(convert, matrix))
 
 
 @dataclass(frozen=True)

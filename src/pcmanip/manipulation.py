@@ -31,10 +31,11 @@ from .core import (
     _integer,
     _positive_finite,
     _row_means,
+    _square,
     _tolerances,
     _workspace,
 )
-from .errors import InvalidWinnerError, NonPositiveDeltaError, NotSquareError, PcmError
+from .errors import InvalidWinnerError, NonPositiveDeltaError, PcmError
 from .projection import ProjectionResult, max_changed_entries, project_to_tie, tie_costs
 from .tiespace import AlternativePair
 
@@ -48,13 +49,9 @@ def abs_difference(a, b) -> np.ndarray:
 
 
 def emi(a, b) -> float:
-    """Average absolute entry change of any two matrices, normalized by 4n - 6."""
+    """Average absolute entry change of any two n x n matrices, n >= 2, normalized by 4n - 6."""
     va, vb = matched_values(a, b)
-    if va.ndim != 2 or va.shape[0] != va.shape[1]:
-        raise NotSquareError(va.shape)
-    m = max_changed_entries(va.shape[0])
-    if m <= 0:
-        raise PcmError(f"EMI undefined for n = {va.shape[0]}")
+    m = max_changed_entries(_square(va).shape[0])
     return overflow_safe(lambda x, y: np.abs(
         d := np.subtract(x, y, out=_workspace(x, y)), out=d).sum() / m, va, vb)
 
@@ -164,8 +161,6 @@ def scan_all_pairs(a) -> PairScanTable:
     """
     values = validate_additive(a).values
     n = values.shape[0]
-    if n < 3:
-        raise PcmError(f"scan requires n >= 3, got {n}")
     row_sums = np.add.reduce(values, axis=1)
     index = np.arange(n)
     i, j = np.nonzero(np.less.outer(index, index))  # the pairs i < j in (i, j) order

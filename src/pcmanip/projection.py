@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import AdditivePcm, overflow_safe, pair_values, validate_additive
+from .core import AdditivePcm, overflow_safe, pair_values, validate_additive, _size
 from .errors import PcmError
 from .tiespace import AlternativePair, _pair_block, tie_gap
 
@@ -84,8 +84,8 @@ def relabel_pair(a, pair: AlternativePair) -> tuple[np.ndarray, AlternativePair,
 
 def max_changed_entries(n: int) -> int:
     """Upper bound on nonzero entries of |A - A'|: both rows and both
-    columns of the pair, minus overlaps."""
-    return 4 * n - 6
+    columns of the pair, minus overlaps; n is an integer >= 2."""
+    return 4 * _size(n) - 6
 
 
 def tie_costs(f, n: int) -> tuple:

@@ -13,42 +13,37 @@ whole basis is built only by the tests' reference route
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, _integer, _positive_finite, pair_values
+from .core import DEFAULT_TOLERANCES, Tolerances, _integer, _size, _tolerances, pair_values
 from .errors import PcmError
 
 GeneratorLabel = tuple[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class AlternativePair:
-    """An unordered pair of distinct alternatives in a size-n problem.
+class AlternativePair(namedtuple("AlternativePair", "i j n")):
+    """An unordered pair of distinct alternatives in a size-n problem: the tuple (i, j, n).
 
     Canonicalized so that i < j, each stored as an int.  Indices are 1-based.
     """
 
-    i: int
-    j: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        i, j, n = _integer(self.i, "i"), _integer(self.j, "j"), _integer(self.n, "n")
+    def __new__(cls, i, j, n):
+        i, j, n = _integer(i, "i"), _integer(j, "j"), _integer(n, "n")
         if i == j:
             raise PcmError(f"pair indices must differ, got ({i},{j})")
         if not (1 <= i <= n and 1 <= j <= n):
             raise PcmError(f"pair ({i},{j}) out of range for n = {n}")
-        if i > j:
-            i, j = j, i
-        vars(self).update(i=i, j=j, n=n)  # frozen: one dict update, past __setattr__
+        return tuple.__new__(cls, (i, j, n) if i < j else (j, i, n))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace is checked too
 
 
 def tie_space_dimension(n: int) -> int:
-    if (n := _integer(n, "n")) < 2:
-        raise PcmError(f"n must be >= 2, got {n}")
-    return (n * n - n) // 2 - 1
+    return (n := _size(n)) * (n - 1) // 2 - 1
 
 
 def _pair_block(pair: AlternativePair) -> dict[GeneratorLabel, tuple[tuple[int, int], int]]:
@@ -62,11 +57,10 @@ def _pair_block(pair: AlternativePair) -> dict[GeneratorLabel, tuple[tuple[int, 
             **{("G", (p,)): ((j, p), -1) for p in range(j + 1, n)}}
 
 
-def is_tie_equating(a, pair: AlternativePair, tol: float = DEFAULT_TOLERANCES.ranking_tie) -> bool:
-    """True iff the row sums of i and j agree within tol*n, that is their weights within tol."""
-    if not _positive_finite(tol):
-        raise PcmError(f"tolerance tol must be positive and finite, got {tol}")
-    return bool(abs(tie_gap(a, pair)) <= tol * pair.n)
+def is_tie_equating(a, pair: AlternativePair, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """True iff the row sums of i and j agree within tol.ranking_tie * n, that is their weights
+    within tol.ranking_tie, the tolerance of ranking_of and verify_manipulation."""
+    return bool(abs(tie_gap(a, pair)) <= _tolerances(tol).ranking_tie * pair.n)
 
 
 def tie_gap(a, pair: AlternativePair) -> float:

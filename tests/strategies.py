@@ -36,10 +36,10 @@ def mixed_antisymmetric(rng: np.random.Generator, n: int, scale: float) -> np.nd
 
 
 @st.composite
-def layout_cases(draw, min_n: int = 2):
-    """(a, pair, layout): a mixed_antisymmetric matrix, min_n <= n <= 60, in one of LAYOUTS,
+def layout_cases(draw):
+    """(a, pair, layout): a mixed_antisymmetric matrix, 2 <= n <= 60, in one of LAYOUTS,
     and a pair."""
-    n = draw(st.integers(min_n, 60))
+    n = draw(st.integers(2, 60))
     scale = 10.0 ** draw(st.integers(-300, 300))
     a = mixed_antisymmetric(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n, scale)
     if n == 2 or draw(st.booleans()):  # j = n

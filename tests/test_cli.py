@@ -291,14 +291,14 @@ class TestScanCommand:
         assert len({len(line) for line in out.splitlines()}) == 1
 
     @pytest.mark.parametrize("output", ["text", "json", "csv"])
-    def test_valid_two_by_two_is_a_usage_error(self, tmp_path, output, capsys):
-        # the matrix is valid, so a scan of it is a usage error, not a validation one
+    def test_valid_two_by_two_scans_its_one_pair(self, tmp_path, output, capsys):
         path = tmp_path / "two.csv"
         path.write_text("1,2\n0.5,1\n")
-        assert run(["validate", str(path), "--output", output])[0] == EXIT_OK
-        capsys.readouterr()
-        assert run(["scan", str(path), "--output", output]) == (EXIT_USAGE, "")
-        assert capsys.readouterr().err == "argument error: scan requires n >= 3, got 2\n"
+        code, out = run(["scan", str(path), "--output", output])
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        rows = json.loads(out)["rows"] if output == "json" else out.splitlines()[1:]
+        assert len(rows) == 1
+        assert "0.6931" in out  # EMI = |f|/2 with f = 2 ln 2
 
 
 class TestRobustInput:

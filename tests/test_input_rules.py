@@ -1,6 +1,6 @@
 """Input rules that the other suites do not reach: a truncated JSON file,
 a JSON object without a matrix, tied groups in a ranking's text, and EMI
-for a single alternative or for input that is not a square matrix."""
+for input that is not a square matrix with n >= 2, a single alternative included."""
 
 import io
 import re
@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from pcmanip import PcmError, emi, ranking_of
+from pcmanip import emi, ranking_of
 from pcmanip.cli import EXIT_PARSE, main
 from pcmanip.errors import NotSquareError
 
@@ -40,7 +40,7 @@ def test_ranking_text_braces_a_tied_group():
 
 
 def test_emi_is_undefined_for_one_alternative():
-    with pytest.raises(PcmError, match=r"^EMI undefined for n = 1$"):
+    with pytest.raises(NotSquareError, match=r"with n >= 2, got shape \(1, 1\)$"):
         emi(np.zeros((1, 1)), np.zeros((1, 1)))
 
 

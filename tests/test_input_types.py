@@ -6,27 +6,36 @@ is not a Tolerances.  A MultiplicativePcm given where additive values
 are expected is told to convert with to_additive first, and an
 AdditivePcm given where multiplicative values are expected with
 to_multiplicative; a PCM given as a weight vector is told no conversion.  Every value that must be
-positive and finite (a tolerance, a tip delta, is_tie_equating's tol)
-is read by one predicate, so one table holds for all of them; every
-integer argument (a pair's indices and size, a tip's or a verdict's
-winner) is read by one rule, so one table holds for those too.
+positive and finite (a tolerance, a tip delta) is read by one predicate,
+so one table holds for all of them; every integer argument (a pair's
+indices and size, a tip's or a verdict's winner) is read by one rule,
+every tol is a Tolerances, and every size, a matrix's or an n, must be
+at least 2, so one table holds for each of those too.  A walk over the
+package's public signatures keeps the tol and size tables complete.
 
 The validators are the one door into a validated PCM: each returns its
 own type as it is, and every function that needs a valid matrix reads
 its input through one of them."""
 
+import inspect
 import sys
 
 import numpy as np
 import pytest
 
+import pcmanip
 import pcmanip.core
 import pcmanip.projection
 from pcmanip import (
     DEFAULT_TOLERANCES,
     AdditivePcm,
     AlternativePair,
+    ManipulationReport,
+    ManipulationVerdict,
     MultiplicativePcm,
+    PairScanTable,
+    ProjectionResult,
+    TipResult,
     Tolerances,
     abs_difference,
     additive_weights,
@@ -35,6 +44,7 @@ from pcmanip import (
     gmm_weights,
     hyperplane_oracle_project,
     is_tie_equating,
+    max_changed_entries,
     normalize_weights,
     pair_report,
     project_to_tie,
@@ -280,7 +290,6 @@ POSITIVE_FINITE_RULES = {
     "antisymmetry": lambda value: Tolerances(antisymmetry=value),
     "ranking_tie": lambda value: Tolerances(ranking_tie=value),
     "tip delta": lambda value: tip_pair(project_to_tie(EXAMPLE_A, PAIR), 1, delta=value),
-    "is_tie_equating tol": lambda value: is_tie_equating(EXAMPLE_A, PAIR, tol=value),
 }
 
 
@@ -306,6 +315,7 @@ INTEGER_RULES = {
     "AlternativePair j": ("j", lambda value: AlternativePair(1, value, 5)),
     "AlternativePair n": ("n", lambda value: AlternativePair(1, 2, value)),
     "tie_space_dimension n": ("n", tie_space_dimension),
+    "max_changed_entries n": ("n", max_changed_entries),
     "tip_pair winner": ("winner", lambda value: tip_pair(project_to_tie(EXAMPLE_A, PAIR), value)),
     "verify_manipulation winner": ("winner", lambda value: verify_manipulation(
         EXAMPLE_A, EXAMPLE_A, PAIR, value)),
@@ -343,6 +353,7 @@ TOLERANCE_RULES = {
     "ranking_of": lambda tol: ranking_of([1.0, 2.0, 1.0], tol),
     "pair_report": lambda tol: pair_report(EXAMPLE_A, PAIR, tol),
     "verify_manipulation": lambda tol: verify_manipulation(EXAMPLE_A, EXAMPLE_A, PAIR, 1, tol=tol),
+    "is_tie_equating": lambda tol: is_tie_equating(EXAMPLE_A, PAIR, tol),
 }
 
 
@@ -359,10 +370,60 @@ def test_every_tol_that_is_a_tolerances_is_accepted(rule, value):
     TOLERANCE_RULES[rule](value)
 
 
+@pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, Tolerances(ranking_tie=1e-3)], ids=repr)
 @pytest.mark.parametrize("apart, tied", [(0.5, True), (2.0, False)])
-def test_is_tie_equating_by_default_agrees_with_verify_manipulation(apart, tied):
-    w = np.array([apart * DEFAULT_TOLERANCES.ranking_tie, 0.0, 0.0, 0.0])
+def test_is_tie_equating_agrees_with_verify_manipulation(apart, tied, tol):
+    w = np.array([apart * tol.ranking_tie, 0.0, 0.0, 0.0])
     a = np.subtract.outer(w, w)  # a_ij = w_i - w_j: weights w up to a shift
     pair = AlternativePair(1, 2, 4)
-    assert is_tie_equating(a, pair) is tied
-    assert verify_manipulation(a, a, pair, winner=1).winner_leads is not tied
+    assert is_tie_equating(a, pair, tol) is tied
+    assert verify_manipulation(a, a, pair, winner=1, tol=tol).winner_leads is not tied
+    ranking = ranking_of(additive_weights(a), tol)
+    assert (ranking.position(1) == ranking.position(2)) is tied
+
+
+# every size that must be at least 2, as a call that reads it: the size of a matrix or an n
+SIZE_RULES = {
+    "validate_additive": lambda n: validate_additive(np.zeros((n, n))),
+    "validate_multiplicative": lambda n: validate_multiplicative(np.ones((n, n))),
+    "to_additive": lambda n: to_additive(np.ones((n, n))),
+    "to_multiplicative": lambda n: to_multiplicative(np.zeros((n, n))),
+    "gmm_weights": lambda n: gmm_weights(np.ones((n, n))),
+    "additive_weights": lambda n: additive_weights(np.zeros((n, n))),
+    "emi": lambda n: emi(np.zeros((n, n)), np.zeros((n, n))),
+    "scan_all_pairs": lambda n: scan_all_pairs(np.zeros((n, n))),
+    "AlternativePair": lambda n: AlternativePair(1, 2, n),
+    "tie_space_dimension": tie_space_dimension,
+    "max_changed_entries": max_changed_entries,
+}
+
+
+@pytest.mark.parametrize("size", [1, 0])
+@pytest.mark.parametrize("rule", SIZE_RULES)
+def test_every_size_rule_rejects_a_size_below_two(rule, size):
+    with pytest.raises(PcmError):
+        SIZE_RULES[rule](size)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("rule", SIZE_RULES)
+def test_every_size_rule_accepts_a_size_of_two_or_more(rule, size):
+    SIZE_RULES[rule](size)
+
+
+# records that a call returns: their fields are its results, which no argument rule reads
+RESULTS = (ProjectionResult, TipResult, ManipulationReport, ManipulationVerdict, PairScanTable)
+
+
+def test_every_public_tol_and_size_is_in_its_table():
+    takes = {"tol": set(), "n": set()}
+    for name in pcmanip.__all__:
+        obj = getattr(pcmanip, name)
+        if not callable(obj) or obj in RESULTS or obj is PcmError:  # an exception has no signature
+            continue
+        parameters = inspect.signature(obj).parameters
+        for param, names in takes.items():
+            if param in parameters:
+                names.add(name)
+    assert takes["tol"] == set(TOLERANCE_RULES)
+    assert takes["n"] <= set(SIZE_RULES)  # which also reads the sizes of matrices

@@ -237,7 +237,13 @@ class TestScanAllPairs:
 
     def test_rejects_tiny_matrices(self):
         with pytest.raises(PcmError):
-            scan_all_pairs(np.zeros((2, 2)))
+            scan_all_pairs(np.zeros((1, 1)))
+        a = np.array([[0.0, 1.5], [-1.5, 0.0]])
+        (row,) = scan_all_pairs(a).rows  # n = 2 has one pair, as pair_report answers for it
+        pair = AlternativePair(1, 2, 2)
+        report, gap = pair_report(a, pair), project_to_tie(a, pair).gap
+        assert (row.i, row.j, row.emi, row.distance, row.f_value) == (
+            1, 2, report.emi, report.distance, gap)
 
 
 class TestVerifyManipulation:

@@ -6,7 +6,6 @@ it.  Alongside: Gram-Schmidt's one update and the relabeling's one method."""
 import numpy as np
 import pytest
 
-from pcmanip import AlternativePair, project_to_tie
 from pcmanip.projection import relabel_pair
 from pcmanip.tiespace import _pair_block
 
@@ -53,14 +52,6 @@ def test_labels_from_outside_are_looked_up_in_the_block(n):
                 else:
                     with pytest.raises(ParamOutOfRangeError, match=f"parameter {p} out of range"):
                         _generator_entry(kind, p, pair)
-
-
-@pytest.mark.parametrize("pair", [(37, 141), (2, 200), (1, 2)], ids=["interior", "j=n", "i=1"])
-def test_coefficients_check_no_label(rng, pair):
-    n = 200
-    a = random_antisymmetric(rng, n)
-    want = project_to_tie(a, AlternativePair(*pair, n)).coefficients.tobytes()
-    assert project_to_tie(a, AlternativePair(*pair, n)).coefficients.tobytes() == want
 
 
 def branched_gram_schmidt(basis):

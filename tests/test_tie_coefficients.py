@@ -43,12 +43,13 @@ def test_golden_inputs_match_the_dense_reference(name):
         assert_matches_reference(a, pair)
 
 
-@pytest.mark.parametrize("pair", [(37, 141), (2, 200)], ids=["interior", "j=n"])
+@pytest.mark.parametrize("pair", [(37, 141), (2, 200), (1, 2)], ids=["interior", "j=n", "i=1"])
 def test_request_route_builds_no_vector_of_length_n_squared(rng, pair):
     n = 200
     a = random_antisymmetric(rng, n)
     pair = AlternativePair(*pair, n)
     coefficients = project_to_tie(a, pair).coefficients
+    assert project_to_tie(a, pair).coefficients.tobytes() == coefficients.tobytes()  # every call
     assert coefficients.shape == (n * (n - 1) // 2 - 1,)
     assert np.isfinite(coefficients).all()
     work, work_pair, _ = relabel_pair(a, pair)

@@ -88,7 +88,7 @@ def test_report_and_projection_match_the_scan_bit_for_bit(case):
     assert project_to_tie(a, pair).distance == row.distance
 
 
-@given(layout_cases(min_n=3))  # the scan starts at n = 3
+@given(layout_cases())
 @settings(max_examples=100, deadline=None)
 def test_report_and_projection_match_the_scan_in_every_layout(case):
     """The same bits whatever the input's memory layout, scale or signed zeros: each

@@ -1,13 +1,12 @@
 """The tie-space order as two blocks, C off the pair's rows and columns and
-D-G on them; the coefficients read only the D-G block, and a generator's
-parameters must be integers."""
+D-G on them, and a generator's parameters must be integers."""
 
 import numpy as np
 import pytest
 
-from pcmanip import AlternativePair, project_to_tie
+from pcmanip import AlternativePair
 
-from refdata import all_pairs, random_antisymmetric
+from refdata import all_pairs
 from reference import ParamOutOfRangeError, generator_matrix, tie_labels, z_set
 
 
@@ -37,14 +36,6 @@ def test_tie_labels_are_the_written_out_order(n):
     for pair in all_pairs(n):
         if pair.j < n:
             assert tie_labels(pair) == range_labels(pair.i, pair.j, n)
-
-
-@pytest.mark.parametrize("pair", [(37, 141), (2, 200)], ids=["interior", "j=n"])
-def test_coefficients_build_no_c_label(rng, pair):
-    n = 200
-    a = random_antisymmetric(rng, n)
-    want = project_to_tie(a, AlternativePair(*pair, n)).coefficients.tobytes()
-    assert project_to_tie(a, AlternativePair(*pair, n)).coefficients.tobytes() == want
 
 
 PAIR = AlternativePair(1, 3, 4)

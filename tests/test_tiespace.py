@@ -3,6 +3,7 @@ import pytest
 
 from pcmanip import (
     AlternativePair,
+    Tolerances,
     is_tie_equating,
     tie_gap,
     tie_space_dimension,
@@ -50,6 +51,26 @@ class TestAlternativePair:
             AlternativePair(0, 2, 5)
         with pytest.raises(PcmError):
             AlternativePair(1, 6, 5)
+
+    def test_is_the_tuple_i_j_n(self):
+        p = AlternativePair(3, 2, 5)
+        i, j, n = p
+        assert (i, j, n) == p == (2, 3, 5) and len(p) == 3
+        assert hash(p) == hash((2, 3, 5))
+        assert p._asdict() == {"i": 2, "j": 3, "n": 5}
+        with pytest.raises(AttributeError):
+            p.i = 4  # immutable
+
+    def test_replace_and_make_are_checked(self):
+        p = AlternativePair(2, 3, 5)
+        assert p._replace(i=5) == AlternativePair(3, 5, 5)  # canonicalized again
+        assert type(p._replace(n=6)) is AlternativePair
+        with pytest.raises(PcmError, match="must differ"):
+            p._replace(i=3)
+        with pytest.raises(PcmError, match="out of range"):
+            p._replace(n=2)
+        with pytest.raises(PcmError, match="i = 1.5 must be an integer"):
+            AlternativePair._make((1.5, 3, 5))
 
 
 class TestZSet:
@@ -153,7 +174,7 @@ class TestTieBasis:
                 assert abs(np.linalg.det(gram)) > 1e-9  # linear independence
                 for (kind, params), b in zip(tie_labels(pair), basis):
                     assert np.array_equal(b, -b.T)
-                    assert is_tie_equating(b, pair, tol=1e-12)
+                    assert is_tie_equating(b, pair, Tolerances(ranking_tie=1e-12))
                     entries = set(np.unique(b))
                     assert entries <= {-2.0, -1.0, 0.0, 1.0, 2.0}
                     if 2.0 in entries or -2.0 in entries:
@@ -210,7 +231,7 @@ class TestIsTieEquating:
         for _ in range(10):
             coeffs = rng.uniform(-5, 5, size=len(basis))
             a = sum(c * b for c, b in zip(coeffs, basis))
-            assert is_tie_equating(a, pair, tol=1e-12)
+            assert is_tie_equating(a, pair, Tolerances(ranking_tie=1e-12))
 
     def test_random_matrices_are_generally_not_tied(self, rng):
         pair = AlternativePair(2, 4, 6)
