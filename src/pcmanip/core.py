@@ -10,7 +10,8 @@ Two representations are used throughout:
 The two are linked by the entry-wise natural log / exp, and the engine
 works additively.  Matrix entries are stored 0-based in numpy arrays;
 every index that crosses an API boundary (pairs, errors, reports) is
-1-based.
+1-based.  Every reduction over a matrix reads it in C order, so an array
+in any memory layout gives the bits of its C-ordered copy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -45,18 +45,17 @@ _workspace_local = threading.local()
 
 
 def _workspace(*xs: np.ndarray) -> np.ndarray | None:
-    """out= for an n x n ufunc temporary; the floor, cap, dtype and layout rules live here alone.
-    None, so the ufunc allocates, below _WORKSPACE_MIN entries, over _WORKSPACE_MAX, or unless all
-    operands xs are contiguous float64; else a view of the thread's buffer (grown, kept until the
-    thread ends), F-ordered if every operand is, else C: numpy's layout, so sums add alike."""
+    """out= for an n x n ufunc temporary; the floor, cap and dtype rules live here alone.
+    None, so the ufunc allocates, below _WORKSPACE_MIN entries, over _WORKSPACE_MAX, or unless
+    every operand xs is float64; else a C-ordered view of the thread's buffer (grown, kept until
+    the thread ends), as every reduction reads C order whatever the operands' layout."""
     size = xs[0].size  # alone before the floor test: most calls end there
-    if not _WORKSPACE_MIN <= size <= _WORKSPACE_MAX or not all(
-            x.flags.forc and x.dtype == np.float64 for x in xs):
+    if not _WORKSPACE_MIN <= size <= _WORKSPACE_MAX or not all(x.dtype == np.float64 for x in xs):
         return None
     buffer = getattr(_workspace_local, "buffer", None)
     if buffer is None or buffer.size < size:
         buffer = _workspace_local.buffer = np.empty(size)
-    return buffer[:size].reshape(xs[0].shape, order="F" if all(x.flags.fnc for x in xs) else "C")
+    return buffer[:size].reshape(xs[0].shape)
 
 
 def _positive_finite(value) -> bool:
@@ -106,13 +105,13 @@ def _size(n) -> int:
     return n
 
 
-def _as_floats(convert, x, vector: bool = False) -> np.ndarray:
+def _as_floats(x, vector: bool = False) -> np.ndarray:
     try:  # numpy would drop an imaginary part with only a warning; a list of numbers is read once
         found = x if isinstance(x, np.ndarray) else np.asarray(x)
         found = np.asarray(found.tolist()) if found.dtype.kind == "O" else found  # by what it holds
         if found.dtype.kind == "c":
             raise TypeError("complex values are not real numbers")
-        return convert(found if found.dtype.kind in "biuf" else x, dtype=float)
+        return np.asarray(found if found.dtype.kind in "biuf" else x, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:
         hint = x._hint if isinstance(x, _Pcm) and not vector else e  # a matrix: name its conversion
         raise PcmError(f"expected an array of numbers, got {type(x).__name__}: {hint}") from None
@@ -125,9 +124,9 @@ def _square(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _as_square(matrix, convert=partial(np.array, order="C")) -> np.ndarray:
-    """The validators' copy is C-ordered, so every later reduction adds in one order."""
-    return _square(_as_floats(convert, matrix))
+def _as_square(matrix) -> np.ndarray:
+    """The validators' private copy, C-ordered like every array a reduction reads."""
+    return _square(np.array(_as_floats(matrix), order="C"))
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ class AdditivePcm(_Pcm):
 def additive_values(a) -> np.ndarray:
     """The entries of an AdditivePcm, or an array-like read as additive
     values; a MultiplicativePcm must be converted with to_additive first."""
-    return a.values if isinstance(a, AdditivePcm) else _as_floats(np.asarray, a)
+    return a.values if isinstance(a, AdditivePcm) else _as_floats(a)
 
 
 def pair_values(a, pair) -> np.ndarray:
@@ -263,13 +262,14 @@ def _check_additive(matrix, tol: Tolerances) -> AdditivePcm:
 
 
 def to_additive(m) -> AdditivePcm:
-    """Entry-wise natural logarithm of validate_multiplicative(m)."""
-    return AdditivePcm(np.log(validate_multiplicative(m).values))
+    """Entry-wise natural logarithm of validate_multiplicative(m), read in C order."""
+    return AdditivePcm(np.log(np.ascontiguousarray(validate_multiplicative(m).values)))
 
 
 def to_multiplicative(a) -> MultiplicativePcm:
-    """Entry-wise exponential of validate_additive(a)."""
-    values = validate_additive(a).values
+    """Entry-wise exponential of validate_additive(a), read in C order: numpy's log and exp of a
+    view reversed in both axes can differ from its C copy's in the last bit."""
+    values = np.ascontiguousarray(validate_additive(a).values)
     _raise_first(np.abs(values) >= _MAX_EXP, OverflowDomainError, values)
     return MultiplicativePcm(np.exp(values))
 
@@ -282,18 +282,18 @@ def gmm_weights(m) -> np.ndarray:
 def additive_weights(a) -> np.ndarray:
     """Row means by ``_row_means``.  An AdditivePcm is trusted; other input must be square with
     n >= 2, and is not validated."""
-    return _row_means(a.values if isinstance(a, AdditivePcm) else _as_square(a, np.asarray))
+    return _row_means(a.values if isinstance(a, AdditivePcm) else _square(_as_floats(a)))
 
 
 def _row_means(values: np.ndarray) -> np.ndarray:
-    """np.mean(values, axis=1) bit for bit, without its Python-level wrapper."""
-    return np.add.reduce(values, axis=1) / values.shape[1]
+    """np.mean(np.ascontiguousarray(values), axis=1) bit for bit, without its wrapper."""
+    return np.add.reduce(np.ascontiguousarray(values), axis=1) / values.shape[1]
 
 
 @np.errstate(over="ignore")  # a sum that overflows is redone below
 def normalize_weights(w) -> np.ndarray:
     """Scale a positive, finite weight vector to sum to one."""
-    if (w := _as_floats(np.asarray, w, vector=True)).ndim != 1:
+    if (w := _as_floats(w, vector=True)).ndim != 1:
         raise PcmError(f"expected a vector of weights, got shape {w.shape}")
     bad = np.flatnonzero(~((0 < w) & (w < np.inf)))  # NaN fails both
     if bad.size:
@@ -311,7 +311,7 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     Grouping chains: consecutive weights within the tie tolerance join
     the same group.  Within a group, indices ascend.
     """
-    if (w := _as_floats(np.asarray, weights, vector=True)).ndim != 1:
+    if (w := _as_floats(weights, vector=True)).ndim != 1:
         raise PcmError(f"expected a vector of weights, got shape {w.shape}")
     tie = _tolerances(tol).ranking_tie
     order = np.argsort(-w, kind="stable")  # the key (-w[k], k)
@@ -339,7 +339,7 @@ def frobenius_distance(a, b) -> float:
 
 
 def _distance(x: np.ndarray, y: np.ndarray):
-    """np.linalg.norm(x - y) bit for bit, without its Python-level wrapper: the square root of
-    d . d, with d = x - y raveled in memory order."""
-    d = (x - y).ravel(order="K")
+    """np.linalg.norm of x - y written in C order, bit for bit, without its Python-level wrapper:
+    the square root of d . d, with d that difference raveled."""
+    d = np.subtract(x, y, order="C").ravel()
     return np.sqrt(d.dot(d))

@@ -53,7 +53,7 @@ def emi(a, b) -> float:
     va, vb = matched_values(a, b)
     m = max_changed_entries(_square(va).shape[0])
     return overflow_safe(lambda x, y: np.abs(
-        d := np.subtract(x, y, out=_workspace(x, y)), out=d).sum() / m, va, vb)
+        d := np.subtract(x, y, out=_workspace(x, y), order="C"), out=d).sum() / m, va, vb)
 
 
 class ManipulationReport(NamedTuple):
@@ -190,13 +190,10 @@ def verify_manipulation(
     winner: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ManipulationVerdict:
-    """Check that the tipped matrix realizes the intended reversal.
-
-    Conditions: the winner strictly outranks the loser in the tipped
-    ranking, and every alternative outside the pair keeps its original
-    weight within the ranking-tie tolerance.  Also reports whether the
-    original ranking already had the winner ahead.
-    """
+    """Check that the tipped matrix realizes the intended reversal: the winner's tipped weight
+    exceeds the loser's by more than tol.ranking_tie (a test of the pair alone; ranking_of chains
+    weights within it, so may still group the two), and every other weight stays within it of
+    its original.  Also reports whether the winner's original weight already led by that much."""
     w, l = _winner_rows(pair, winner)
     weights_orig = _row_means(pair_values(original, pair))  # additive_weights, on arrays read once
     weights_tip = _row_means(pair_values(tipped, pair))

@@ -59,7 +59,7 @@ def _pair_block(pair: AlternativePair) -> dict[GeneratorLabel, tuple[tuple[int, 
 
 def is_tie_equating(a, pair: AlternativePair, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True iff the row sums of i and j agree within tol.ranking_tie * n, that is their weights
-    within tol.ranking_tie, the tolerance of ranking_of and verify_manipulation."""
+    within tol.ranking_tie: the pairwise test of verify_manipulation, not ranking_of's chain."""
     return bool(abs(tie_gap(a, pair)) <= _tolerances(tol).ranking_tie * pair.n)
 
 

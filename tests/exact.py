@@ -1,7 +1,8 @@
 """Exact rational answers, by the stdlib's fractions, for checking float outputs.
 
 ``Fraction(x)`` of a float is exact, so these are the exact answers for the
-float input the code actually read.  The D-G coefficients follow the paper's
+float input the code actually read: the tie projection's coefficients and the
+row means that additive_weights rounds.  The D-G coefficients follow the paper's
 construction (Gram-Schmidt of the generators), not the closed form the library
 uses.  The cost grows as n^3 per pair, for the small n (up to 12) of the tests.
 """
@@ -61,3 +62,16 @@ def exact_coefficients(a, pair) -> list:
 def ulps(got: float, exact: Fraction) -> Fraction:
     """|got - exact| in units in the last place of the float nearest to exact."""
     return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum of floats, added as integers over their largest denominator (a power of
+    two, so every other one divides it): many times faster than adding Fractions."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    common = max(d for _, d in ratios)
+    return Fraction(sum(p * (common // d) for p, d in ratios), common)
+
+
+def exact_row_means(a) -> list:
+    """The mean of each row of a, as Fractions: the exact additive weights."""
+    return [exact_sum(row) / len(row) for row in a.tolist()]

@@ -4,7 +4,7 @@
 for: n from 2 to 60, a per-matrix scale from 1e-300 to 1e300 with entries
 of mixed magnitudes inside each matrix (down to subnormals), -0.0 and +0.0
 entries on both sides of the diagonal and on it, a pair with j = n half the
-time, and a C, F or transposed memory layout.  The entries come from a
+time, and one of six memory layouts (LAYOUTS).  The entries come from a
 drawn seed, so a 60 x 60 matrix costs one draw, while n, the scale, the
 layout and the pair still shrink.
 """
@@ -14,11 +14,25 @@ from hypothesis import strategies as st
 
 from pcmanip import AlternativePair
 
+
+def strided(a: np.ndarray) -> np.ndarray:
+    """The same values as a view of every other row and column of a NaN-filled larger array."""
+    big = np.full((2 * a.shape[0], 2 * a.shape[1]), np.nan)
+    big[::2, ::2] = a
+    return big[::2, ::2]
+
+
 LAYOUTS = {
     "C": np.ascontiguousarray,
     "F": np.asfortranarray,
     "(-a).T": lambda a: (-a).T,  # the same values, up to signed zeros, as an F-ordered view
+    "C(a.T).T": lambda a: np.ascontiguousarray(a.T).T,  # the same values, as an F-ordered view
+    "strided": strided,
+    # the same values, as a view with negative strides in both axes
+    "reversed": lambda a: np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1],
 }
+# every layout that holds exactly a's values, signed zeros included
+EXACT_LAYOUTS = {name: f for name, f in LAYOUTS.items() if name != "(-a).T"}
 
 
 def mixed_antisymmetric(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:

@@ -382,6 +382,19 @@ def test_is_tie_equating_agrees_with_verify_manipulation(apart, tied, tol):
     assert (ranking.position(1) == ranking.position(2)) is tied
 
 
+def test_the_verdict_tests_the_pair_alone_where_ranking_of_chains():
+    """Tipped weights (1.5e-9, 0, 0.75e-9) up to a shift: the winner leads the loser by more
+    than ranking_tie, so the verdict passes and is_tie_equating calls the pair apart, while
+    ranking_of chains all three, each within ranking_tie of the next, into one group."""
+    original, tipped = (np.subtract.outer(w, w) for w in (np.array([0.0, 0.0, 0.75e-9]),
+                                                          np.array([1.5e-9, 0.0, 0.75e-9])))
+    pair = AlternativePair(1, 2, 3)
+    verdict = verify_manipulation(original, tipped, pair, winner=1)
+    assert verdict.passed and verdict.winner_leads and verdict.others_preserved
+    assert is_tie_equating(tipped, pair) is False
+    assert ranking_of(additive_weights(tipped)).groups == ((1, 2, 3),)
+
+
 # every size that must be at least 2, as a call that reads it: the size of a matrix or an n
 SIZE_RULES = {
     "validate_additive": lambda n: validate_additive(np.zeros((n, n))),

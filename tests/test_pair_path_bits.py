@@ -1,8 +1,8 @@
 """The pair path's distance, verdict and EMI, pinned bit for bit to the
 library routes and to numpy's own: frobenius_distance and np.linalg.norm,
-additive_weights and np.mean, and the plain sum.  Inputs reach n = 40,
-magnitudes up to 1e308 (where overflow_safe redoes a sum scaled),
-F-ordered arrays and j = n."""
+additive_weights and np.mean, and the plain sum, each reading C order.
+Inputs reach n = 40, magnitudes up to 1e308 (where overflow_safe redoes a
+sum scaled), F-ordered arrays and j = n."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -59,15 +59,17 @@ def test_tip_distance_is_frobenius_distance(case, delta, fortran):
         tip = tip_pair(projection, winner, delta)
     except PcmError:  # row sums, or the tip, beyond float64
         return
-    norm = overflow_safe(lambda x, y: np.linalg.norm(x - y),
+    norm = overflow_safe(lambda x, y: np.linalg.norm(np.subtract(x, y, order="C")),
                          projection.original.values, tip.tipped.values)
     for got in (tip.total_distance, frobenius_distance(projection.original, tip.tipped)):
         assert np.float64(got).tobytes() == np.float64(norm).tobytes()
 
 
 def _reference_verdict(original, tipped, pair, winner, tol):
-    """verify_manipulation's rules on np.mean's row means, which additive_weights gives."""
-    w_orig, w_tip = (np.mean(getattr(m, "values", m), axis=1) for m in (original, tipped))
+    """verify_manipulation's rules on np.mean's row means of the C-ordered copies, which
+    additive_weights gives."""
+    w_orig, w_tip = (np.mean(np.ascontiguousarray(getattr(m, "values", m)), axis=1)
+                     for m in (original, tipped))
     for m, w in ((original, w_orig), (tipped, w_tip)):
         assert additive_weights(m).tobytes() == w.tobytes()
     loser = pair.i + pair.j - winner
@@ -111,9 +113,11 @@ def test_verdict_follows_additive_weights(case, tip_it):
 
 
 def _plain_emi(a, b):
-    """sum |a - b| / (4n - 6), redone on scaled arrays where it overflows, as emi promises."""
+    """sum |a - b| / (4n - 6) in C order, redone on scaled arrays where it overflows, as emi
+    promises."""
     m = 4 * a.shape[0] - 6
-    return overflow_safe(lambda x, y: np.add.reduce(np.abs(x - y), None) / m, a, b)
+    return overflow_safe(
+        lambda x, y: np.add.reduce(np.abs(np.subtract(x, y, order="C")), None) / m, a, b)
 
 
 @given(pair_cases())

@@ -4,8 +4,8 @@ The validators, gmm_weights and emi (and to_multiplicative on a raw array,
 through validate_additive) are pinned bit for bit against the allocating
 formula each replaced, on both sides of the cut-off: n = 127 (16129
 entries) still allocates, n = 128 (16384) and n = 300 use the workspace.
-Inputs come C-ordered, F-ordered, mixed and strided, since the order a
-reduction adds in follows the layout of the array it reduces.  Accepted
+Inputs come C-ordered, F-ordered, mixed and strided, and each must give
+the bytes of its C-ordered copy: every reduction reads C order.  Accepted
 inputs must give the same bytes, rejected ones the same error type,
 1-based location and value, and the overflow path of emi the same
 rescaled result (frobenius_distance, which allocates, alongside).  No
@@ -53,7 +53,7 @@ from refdata import random_antisymmetric
 SIZES = [127, 128, 300]
 TOL = DEFAULT_TOLERANCES
 ORDERS = {"C": np.ascontiguousarray, "F": np.asfortranarray}
-# layouts of an (a, b) pair: numpy writes a - b F-ordered only when both are
+# layouts of an (a, b) pair, each of which must give the bytes of the C-ordered pair
 PAIR_LAYOUTS = {
     "C": lambda a, b: (a, b),
     "F": lambda a, b: (np.asfortranarray(a), np.asfortranarray(b)),
@@ -112,7 +112,7 @@ def ref_to_multiplicative(values):
 
 
 def ref_gmm_weights(values):
-    return np.exp(np.mean(np.log(values), axis=1))
+    return np.exp(np.mean(np.log(np.ascontiguousarray(values)), axis=1))
 
 
 def _ref_overflow_safe(reduce, x, y):
@@ -126,11 +126,12 @@ def _ref_overflow_safe(reduce, x, y):
 
 def ref_emi(x, y):
     n = x.shape[0]
-    return _ref_overflow_safe(lambda p, q: np.abs(p - q).sum() / (4 * n - 6), x, y)
+    return _ref_overflow_safe(
+        lambda p, q: np.abs(np.subtract(p, q, order="C")).sum() / (4 * n - 6), x, y)
 
 
 def ref_frobenius_distance(x, y):
-    return _ref_overflow_safe(lambda p, q: np.linalg.norm(p - q), x, y)
+    return _ref_overflow_safe(lambda p, q: np.linalg.norm(np.subtract(p, q, order="C")), x, y)
 
 
 # --- inputs -----------------------------------------------------------------
@@ -244,10 +245,11 @@ def test_to_multiplicative_matches_allocating_formula(n, rng):
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("n", SIZES)
 def test_gmm_weights_matches_allocating_formula(n, order, rng):
-    """The row sums of an F-ordered log add column by column, so the log
-    must be written F-ordered too; a strided or float32 matrix is allocated."""
+    """The validator's copy is C-ordered; a hand-built PCM of F-ordered, strided or
+    float32 values gives the bytes of its C-ordered copy."""
     m = validate_multiplicative(ORDERS[order](_multiplicative(rng, n)))
-    for values in (m.values, m.values[::-1], m.values.astype(np.float32)):
+    for values in (m.values, np.asfortranarray(m.values), m.values[::-1],
+                   m.values.astype(np.float32)):
         got = gmm_weights(pcmanip.MultiplicativePcm(values))
         assert _key(got) == _key(ref_gmm_weights(values))
         assert_no_alias(got)
@@ -262,13 +264,14 @@ def test_gmm_weights_is_exp_of_the_additive_weights(n, layout, rng):
     """gmm_weights reads its log through to_additive and its row means through
     additive_weights; it must keep the bytes of taking both itself, below the
     floor and over the cap, for a MultiplicativePcm and for a raw array (whose
-    log is taken of the validator's copy)."""
+    log is taken of the validator's copy), in every layout as for its C-ordered copy."""
     def own_log_and_means(v):
         return np.exp(np.add.reduce(np.log(v), axis=1) / v.shape[1])
 
     v = GMM_LAYOUTS[layout](validate_multiplicative(_multiplicative(rng, n)).values)
-    assert _key(gmm_weights(pcmanip.MultiplicativePcm(v))) == _key(own_log_and_means(v))
-    assert _key(gmm_weights(v)) == _key(own_log_and_means(np.array(v, order="C")))
+    want = _key(own_log_and_means(np.ascontiguousarray(v)))
+    assert _key(gmm_weights(pcmanip.MultiplicativePcm(v))) == want
+    assert _key(gmm_weights(v)) == want
 
 
 @pytest.mark.parametrize("layout", PAIR_LAYOUTS)
@@ -278,7 +281,7 @@ def test_difference_metrics_match_allocating_formula(n, big, layout, rng):
     """With one pair of entries at +-1e308 the plain sum and norm of a - b
     overflow while the results fit, so overflow_safe's rescale path runs
     on the workspace too.  b is not antisymmetric, so |a - b| is not
-    symmetric and C and F order add its entries in different orders."""
+    symmetric and its C and F sums differ: every layout must give the C one."""
     a, b = random_antisymmetric(rng, n), rng.uniform(-2.0, 2.0, size=(n, n))
     if big:
         p, q = n // 2, n - 3
