@@ -110,6 +110,10 @@ def _parse_json(text: str, default_scale: str) -> MatrixFile:
         raise CliParseError(f'unknown scale "{scale}"')
     matrix = data["matrix"]
     names = data.get("names")
+    for r, row in enumerate(matrix if isinstance(matrix, list) else [], start=1):
+        for c, entry in enumerate(row if isinstance(row, list) else [], start=1):
+            if isinstance(entry, (bool, str)) or entry is None:  # numpy would read a number
+                raise CliParseError(f"not a number: {json.dumps(entry)} (row {r}, column {c})")
     try:
         values = np.array(matrix, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -253,7 +253,7 @@ def _check_additive(matrix, tol: Tolerances) -> AdditivePcm:
     if not np.maximum.reduce(residual, axis=None) <= tol.antisymmetry:  # NaN and inf fail too
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
         _raise_first(residual > tol.antisymmetry, AntisymmetryViolationError, residual, upper=True)
-    sums = np.add.reduce(values, axis=1)
+    sums = _row_sums(values)
     if not np.maximum.reduce(sums) - np.minimum.reduce(sums) < np.inf:  # also true for NaN
         i = np.argmax(np.abs(sums))
         j = np.argmax(np.abs(values[i]))
@@ -280,14 +280,15 @@ def gmm_weights(m) -> np.ndarray:
 
 
 def additive_weights(a) -> np.ndarray:
-    """Row means by ``_row_means``.  An AdditivePcm is trusted; other input must be square with
-    n >= 2, and is not validated."""
-    return _row_means(a.values if isinstance(a, AdditivePcm) else _square(_as_floats(a)))
+    """Row means, ``_row_sums`` over n.  An AdditivePcm is trusted; other input must be square
+    with n >= 2, and is not validated."""
+    values = a.values if isinstance(a, AdditivePcm) else _square(_as_floats(a))
+    return _row_sums(values) / values.shape[1]
 
 
-def _row_means(values: np.ndarray) -> np.ndarray:
-    """np.mean(np.ascontiguousarray(values), axis=1) bit for bit, without its wrapper."""
-    return np.add.reduce(np.ascontiguousarray(values), axis=1) / values.shape[1]
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """The one row-sum reduction: np.sum(np.ascontiguousarray(values), axis=1) bit for bit."""
+    return np.add.reduce(np.ascontiguousarray(values), axis=1)
 
 
 @np.errstate(over="ignore")  # a sum that overflows is redone below

@@ -30,7 +30,7 @@ from .core import (
     _distance,
     _integer,
     _positive_finite,
-    _row_means,
+    _row_sums,
     _square,
     _tolerances,
     _workspace,
@@ -161,7 +161,7 @@ def scan_all_pairs(a) -> PairScanTable:
     """
     values = validate_additive(a).values
     n = values.shape[0]
-    row_sums = np.add.reduce(values, axis=1)
+    row_sums = _row_sums(values)
     index = np.arange(n)
     i, j = np.nonzero(np.less.outer(index, index))  # the pairs i < j in (i, j) order
     f = row_sums[i] - row_sums[j]
@@ -195,8 +195,8 @@ def verify_manipulation(
     weights within it, so may still group the two), and every other weight stays within it of
     its original.  Also reports whether the winner's original weight already led by that much."""
     w, l = _winner_rows(pair, winner)
-    weights_orig = _row_means(pair_values(original, pair))  # additive_weights, on arrays read once
-    weights_tip = _row_means(pair_values(tipped, pair))
+    weights_orig = _row_sums(pair_values(original, pair)) / pair.n  # additive_weights, read once
+    weights_tip = _row_sums(pair_values(tipped, pair)) / pair.n
     tie = _tolerances(tol).ranking_tie
     messages = []
 

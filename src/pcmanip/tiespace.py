@@ -4,20 +4,18 @@ For a fixed pair of alternatives (i, j), the tie space is the linear
 subspace of additive PCMs whose induced row-mean weights for i and j
 coincide; its dimension is (n^2 - n)/2 - 1.  ``tie_gap`` gives a
 matrix's row-sum gap f, zero on the tie space, and ``is_tie_equating``
-tests it.  Of the paper's basis of sparse integer generators, the
-library keeps only the block on rows and columns i and j,
+compares the two row means.  Of the paper's sparse integer generators,
+the library keeps only the block on rows and columns i and j,
 ``_pair_block``, from which the projection's coefficients are read; the
-whole basis is built only by the tests' reference route
-(``tests/reference.py``).  Indices are 1-based.
+whole basis is built only by ``tests/reference.py``.  1-based indices.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-import numpy as np
-
-from .core import DEFAULT_TOLERANCES, Tolerances, _integer, _size, _tolerances, pair_values
+from .core import (DEFAULT_TOLERANCES, Tolerances, _integer, _row_sums, _size, _tolerances,
+                   pair_values)
 from .errors import PcmError
 
 GeneratorLabel = tuple[str, tuple[int, ...]]
@@ -58,12 +56,13 @@ def _pair_block(pair: AlternativePair) -> dict[GeneratorLabel, tuple[tuple[int, 
 
 
 def is_tie_equating(a, pair: AlternativePair, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True iff the row sums of i and j agree within tol.ranking_tie * n, that is their weights
-    within tol.ranking_tie: the pairwise test of verify_manipulation, not ranking_of's chain."""
-    return bool(abs(tie_gap(a, pair)) <= _tolerances(tol).ranking_tie * pair.n)
+    """True iff the weights (row means) of i and j agree within tol.ranking_tie: on the same bits,
+    the pairwise test of verify_manipulation's lead and ranking_of's neighbours, not its chain."""
+    w_i, w_j = _row_sums(pair_values(a, pair)[pair.i - 1:pair.j:pair.j - pair.i]) / pair.n
+    return bool(abs(w_i - w_j) <= _tolerances(tol).ranking_tie)
 
 
 def tie_gap(a, pair: AlternativePair) -> float:
-    """Row-sum difference f = sum_k a_ik - sum_k a_jk (signed)."""
-    values = pair_values(a, pair)
-    return float(np.add.reduce(values[pair.i - 1]) - np.add.reduce(values[pair.j - 1]))
+    """Row-sum gap f = sum_k a_ik - sum_k a_jk (signed): _row_sums of a view of rows i and j."""
+    s_i, s_j = _row_sums(pair_values(a, pair)[pair.i - 1:pair.j:pair.j - pair.i])
+    return float(s_i - s_j)

@@ -336,6 +336,21 @@ class TestRobustInput:
         assert code == EXIT_VALIDATION
         assert "entry (2,3) = nan must be finite" in out + capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, where", [
+        ('{"matrix": [[true, true], [true, true]]}', "true (row 1, column 1)"),
+        ('{"scale": "additive", "matrix": [["0", "1"], ["-1", "0"]]}', '"0" (row 1, column 1)'),
+        ('{"scale": "additive", "matrix": [[0, 1], [null, 0]]}', "null (row 2, column 1)"),
+        ('{"scale": "additive", "matrix": [[0, false], [-1, 0]]}', "false (row 1, column 2)"),
+        ('{"scale": "additive", "matrix": [[0, 1], [-1, "nan"]]}', '"nan" (row 2, column 2)'),
+    ], ids=["true", "string", "null", "false", "nan-string"])
+    def test_a_json_entry_that_is_not_a_number_is_a_parse_error(self, tmp_path, doc, where, capsys):
+        """numpy would read true as 1.0, "0" as 0.0 and null as NaN."""
+        path = tmp_path / "m.json"
+        path.write_text(doc)
+        code, out = run(["validate", str(path)])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == f"parse error: not a number: {where}\n"
+
     def test_infinite_additive_json_exits_3(self, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text('{"scale": "additive", '

@@ -22,6 +22,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcmanip
 import pcmanip.core
@@ -370,16 +372,39 @@ def test_every_tol_that_is_a_tolerances_is_accepted(rule, value):
     TOLERANCE_RULES[rule](value)
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, Tolerances(ranking_tie=1e-3)], ids=repr)
-@pytest.mark.parametrize("apart, tied", [(0.5, True), (2.0, False)])
-def test_is_tie_equating_agrees_with_verify_manipulation(apart, tied, tol):
-    w = np.array([apart * tol.ranking_tie, 0.0, 0.0, 0.0])
+TIE_CASES = [pytest.param([apart * tol.ranking_tie, 0.0, 0.0, 0.0], tol, tied,
+                           id=f"{apart}-{tied}-{tol!r}")
+             for apart, tied in [(0.5, True), (2.0, False)]
+             for tol in [DEFAULT_TOLERANCES, Tolerances(ranking_tie=1e-3)]]
+# as rounded, the weights lie more than ranking_tie apart and the row-sum gap is ranking_tie * n
+TIE_CASES.append(pytest.param([0.10000000000000002, 0.0, 0.0], Tolerances(ranking_tie=0.1), False,
+                              id="one-ulp-past-the-tie"))
+
+
+@pytest.mark.parametrize("w, tol, tied", TIE_CASES)
+def test_is_tie_equating_agrees_with_verify_manipulation(w, tol, tied):
+    w = np.array(w)
     a = np.subtract.outer(w, w)  # a_ij = w_i - w_j: weights w up to a shift
-    pair = AlternativePair(1, 2, 4)
+    pair = AlternativePair(1, 2, len(w))
     assert is_tie_equating(a, pair, tol) is tied
     assert verify_manipulation(a, a, pair, winner=1, tol=tol).winner_leads is not tied
     ranking = ranking_of(additive_weights(a), tol)
     assert (ranking.position(1) == ranking.position(2)) is tied
+
+
+@given(st.integers(2, 12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_is_tie_equating_is_the_verdicts_lead_within_ulps_of_the_tie(n, data):
+    """A weight gap planted within a few ulps of ranking_tie, at the tie's own scale: the tie
+    test and the verdict read the same two row means, so exactly one holds for the leader."""
+    tie = data.draw(st.floats(1e-12, 10.0), label="ranking_tie")
+    lead, other = data.draw(st.permutations(range(n)), label="order")[:2]
+    w = tie * np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    w[lead] = w[other] + tie * (1 + data.draw(st.integers(-4, 4), label="ulps") * 2.0 ** -52)
+    a = np.subtract.outer(w, w)
+    tol, pair = Tolerances(ranking_tie=tie), AlternativePair(lead + 1, other + 1, n)
+    verdict = verify_manipulation(a, a, pair, winner=lead + 1, tol=tol)
+    assert is_tie_equating(a, pair, tol) is not verdict.winner_leads
 
 
 def test_the_verdict_tests_the_pair_alone_where_ranking_of_chains():

@@ -74,6 +74,7 @@ def _outputs(a, b, s, m, pair, layout):
         tip = (type(err).__name__, str(err))
     return {**out, "pair_report": pair_report(a, pair), "project_to_tie": projection,
             "coefficients": projection.coefficients, "scan_all_pairs": np.array(scan_all_pairs(a).rows),
+            "scan_all_pairs of a PCM": np.array(scan_all_pairs(AdditivePcm(a)).rows),
             "tip total_distance": tip}
 
 
