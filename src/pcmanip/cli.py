@@ -185,7 +185,7 @@ def _validate(mf: MatrixFile, tol: Tolerances):
 
 def _read_input(args) -> tuple[Tolerances, MatrixFile]:
     """The first half of the prelude, all that validate needs."""
-    tol = _from_args(Tolerances, args.tol_reciprocity, args.tol_antisymmetry, args.tol_tie)
+    tol = _from_args(Tolerances, args.tol_reciprocity, args.tol_tie)
     return tol, parse_matrix_file(args.file, args.scale, args.names)
 
 
@@ -396,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("text", "json", "csv"),
                        default="text", help="report format")
         p.add_argument("--tol-reciprocity", type=float, default=DEFAULT_TOLERANCES.reciprocity)
-        p.add_argument("--tol-antisymmetry", type=float, default=DEFAULT_TOLERANCES.antisymmetry)
         p.add_argument("--tol-tie", type=float, default=DEFAULT_TOLERANCES.ranking_tie)
         if pair:
             p.add_argument("--pair", nargs=2, type=int, required=True,

@@ -71,7 +71,6 @@ class Tolerances:
     """Numerical tolerances used by validators and ranking ties."""
 
     reciprocity: float = 1e-8
-    antisymmetry: float = 1e-9
     ranking_tie: float = 1e-9
 
     def __post_init__(self):
@@ -111,10 +110,13 @@ def _as_floats(x, vector: bool = False) -> np.ndarray:
         found = np.asarray(found.tolist()) if found.dtype.kind == "O" else found  # by what it holds
         if found.dtype.kind == "c":
             raise TypeError("complex values are not real numbers")
-        return np.asarray(found if found.dtype.kind in "biuf" else x, dtype=float)
+        values = np.asarray(found if found.dtype.kind in "biuf" else x, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:
         hint = x._hint if isinstance(x, _Pcm) and not vector else e  # a matrix: name its conversion
         raise PcmError(f"expected an array of numbers, got {type(x).__name__}: {hint}") from None
+    if vector and values.ndim != 1:  # a PcmError is a ValueError: raised outside the try
+        raise PcmError(f"expected a vector of weights, got shape {values.shape}")
+    return values
 
 
 def _square(values: np.ndarray) -> np.ndarray:
@@ -214,11 +216,11 @@ def _raise_first(mask: np.ndarray, error, values: np.ndarray, upper: bool = Fals
 
 
 def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> MultiplicativePcm:
-    """A MultiplicativePcm as it is; anything else checked for finiteness, positivity, unit
-    diagonal and reciprocity, never mutated.  A matrix is accepted from the range of m_ij * m_ji:
-    positive entries whose products all lie within tol of 1 pass, which decides reciprocity exactly
-    and implies |m_ii - 1| <= tol.  Only a rejected one is scanned row by row, property by
-    property, to name the first violation; one whose m_ii^2 alone failed passes there."""
+    """A MultiplicativePcm as it is; anything else checked for finiteness, positivity and
+    reciprocity, never mutated.  A matrix is accepted from the range of m_ij * m_ji: positive
+    entries whose products, the diagonal's m_ii^2 included, all lie within tol.reciprocity of 1
+    pass.  Only a rejected one is scanned row by row, property by property, on that residual
+    |m_ij * m_ji - 1|, to name the first violation."""
     return matrix if isinstance(matrix, MultiplicativePcm) else _check_multiplicative(matrix, tol)
 
 
@@ -231,7 +233,6 @@ def _check_multiplicative(matrix, tol: Tolerances) -> MultiplicativePcm:
             and np.maximum.reduce(products, axis=None) - 1.0 <= tol.reciprocity
             and 1.0 - np.minimum.reduce(products, axis=None) <= tol.reciprocity):
         residual = np.abs(np.subtract(products, 1.0, out=products), out=products)
-        np.fill_diagonal(residual, np.abs(values.diagonal() - 1.0))
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
         _raise_first(values <= 0, NonPositiveEntryError, values)
         _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual, upper=True)
@@ -239,9 +240,9 @@ def _check_multiplicative(matrix, tol: Tolerances) -> MultiplicativePcm:
 
 
 def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditivePcm:
-    """An AdditivePcm as it is; anything else checked for finiteness and antisymmetry (which covers
-    the zero diagonal) in one fused pass, scanning row by row, property by property, only to name
-    the first violation; then that the row sums and their gaps, all answers' inputs, are finite."""
+    """An AdditivePcm as it is; else checked for finiteness and |a_ij + a_ji| <= tol.reciprocity
+    (the image of reciprocity; it covers the zero diagonal) in one fused pass, scanning row by row
+    only to name the first violation; then that the row sums and their gaps are finite."""
     return matrix if isinstance(matrix, AdditivePcm) else _check_additive(matrix, tol)
 
 
@@ -250,9 +251,9 @@ def _check_additive(matrix, tol: Tolerances) -> AdditivePcm:
     tol, values = _tolerances(tol), _as_square(matrix)
     residual = np.add(values, values.T, out=_workspace(values, values.T))
     np.abs(residual, out=residual)
-    if not np.maximum.reduce(residual, axis=None) <= tol.antisymmetry:  # NaN and inf fail too
+    if not np.maximum.reduce(residual, axis=None) <= tol.reciprocity:  # NaN and inf fail too
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
-        _raise_first(residual > tol.antisymmetry, AntisymmetryViolationError, residual, upper=True)
+        _raise_first(residual > tol.reciprocity, AntisymmetryViolationError, residual, upper=True)
     sums = _row_sums(values)
     if not np.maximum.reduce(sums) - np.minimum.reduce(sums) < np.inf:  # also true for NaN
         i = np.argmax(np.abs(sums))
@@ -294,8 +295,7 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore")  # a sum that overflows is redone below
 def normalize_weights(w) -> np.ndarray:
     """Scale a positive, finite weight vector to sum to one."""
-    if (w := _as_floats(w, vector=True)).ndim != 1:
-        raise PcmError(f"expected a vector of weights, got shape {w.shape}")
+    w = _as_floats(w, vector=True)
     bad = np.flatnonzero(~((0 < w) & (w < np.inf)))  # NaN fails both
     if bad.size:
         raise NonPositiveWeightError(int(bad[0]) + 1, w[bad[0]])
@@ -312,9 +312,7 @@ def ranking_of(weights, tol: Tolerances = DEFAULT_TOLERANCES) -> Ranking:
     Grouping chains: consecutive weights within the tie tolerance join
     the same group.  Within a group, indices ascend.
     """
-    if (w := _as_floats(weights, vector=True)).ndim != 1:
-        raise PcmError(f"expected a vector of weights, got shape {w.shape}")
-    tie = _tolerances(tol).ranking_tie
+    w, tie = _as_floats(weights, vector=True), _tolerances(tol).ranking_tie
     order = np.argsort(-w, kind="stable")  # the key (-w[k], k)
     ws = w[order]
     ks = (order + 1).tolist()

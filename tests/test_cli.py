@@ -141,7 +141,7 @@ class TestValidateCommand:
                          "--output", "json"])
         payload = json.loads(out)
         assert payload["valid"] is True
-        assert payload["tolerances"]["antisymmetry"] == 1e-9
+        assert payload["tolerances"] == {"reciprocity": 1e-8, "ranking_tie": 1e-9}
 
     def test_tolerance_flag_is_honored(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -194,6 +194,30 @@ class TestConvertCommand:
         back = np.array([[float(v) for v in line.split(",")]
                          for line in out.strip().splitlines()])
         assert np.allclose(back, EXAMPLE_A, rtol=1e-9)
+
+    def _convert_then_validate(self, tmp_path, text, *tol):
+        """convert's additive CSV of text, then validate of that CSV; the two exit codes."""
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code, out = run(["convert", str(path), "--to", "additive", "--output", "csv", *tol])
+        if code != EXIT_OK:
+            return code, None
+        (tmp_path / "a.csv").write_text(out)
+        return code, run(["validate", str(tmp_path / "a.csv"), "--scale", "additive", *tol])[0]
+
+    def test_what_convert_writes_validates(self, tmp_path):
+        # reciprocity residual 5e-9 on (2,1): within the one 1e-8 tolerance in both scales
+        text = "1,2,3\n0.5000000025,1,4\n0.3333333333333333,0.25,1\n"
+        assert self._convert_then_validate(tmp_path, text) == (EXIT_OK, EXIT_OK)
+
+    def test_a_diagonal_is_read_by_its_product_in_both_scales(self, tmp_path, capsys):
+        # m_11^2 - 1 = 1.6e-8, as 2 a_11 is: refused at 1e-8 before anything is written, and
+        # passed in both scales at 2e-8
+        text = "1.000000008,2\n0.5,1\n"
+        assert self._convert_then_validate(tmp_path, text) == (EXIT_VALIDATION, None)
+        assert "(1,1) and (1,1) violate reciprocity" in capsys.readouterr().err
+        tol = ("--tol-reciprocity", "2e-8")
+        assert self._convert_then_validate(tmp_path, text, *tol) == (EXIT_OK, EXIT_OK)
 
 
 class TestProjectCommand:
@@ -388,12 +412,19 @@ class TestUnreadableInput:
 
 
 class TestArgumentValues:
-    @pytest.mark.parametrize("flag", ["--tol-reciprocity", "--tol-antisymmetry", "--tol-tie"])
+    @pytest.mark.parametrize("flag", ["--tol-reciprocity", "--tol-tie"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_is_4(self, example_csv, flag, value, capsys):
         code, out = run(["validate", example_csv, "--scale", "additive", flag, value])
         assert (code, out) == (EXIT_USAGE, "")
         assert capsys.readouterr().err.startswith("argument error: tolerance")
+
+    def test_the_removed_antisymmetry_flag_is_4(self, example_csv, capsys):
+        # --tol-reciprocity bounds |a_ij + a_ji| as it bounds |m_ij*m_ji - 1|
+        code, out = run(["validate", example_csv, "--scale", "additive",
+                         "--tol-antisymmetry", "1e-9"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--tol-antisymmetry" in capsys.readouterr().err
 
     def test_nan_tolerance_does_not_pass_a_non_reciprocal_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -489,7 +520,8 @@ class TestExtremeMagnitudes:
         assert "entry (2,3) = 710.0 exceeds the exponent range" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 class TestNoNumpyWarnings:
     def test_overflowing_reciprocity_product(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -156,7 +157,7 @@ class TestConversion:
     def test_to_additive_passes_strict_validation(self, rng):
         a = random_antisymmetric(rng, 5, scale=3.0)
         m = validate_multiplicative(np.exp(a), Tolerances(reciprocity=1e-6))
-        validate_additive(to_additive(m).values, Tolerances(antisymmetry=1e-12))
+        validate_additive(to_additive(m).values, Tolerances(reciprocity=1e-12))
 
 
 class TestWeights:
@@ -308,11 +309,18 @@ def test_tolerances_must_be_positive():
         Tolerances(ranking_tie=-1e-9)
 
 
-@pytest.mark.parametrize("field", ["reciprocity", "antisymmetry", "ranking_tie"])
+@pytest.mark.parametrize("field", ["reciprocity", "ranking_tie"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_tolerances_must_be_finite(field, value):
     with pytest.raises(PcmError, match="positive and finite"):
         Tolerances(**{field: value})
+
+
+def test_one_tolerance_bounds_both_scales():
+    # |a_ij + a_ji| is the image of |m_ij*m_ji - 1|: validate_additive reads tol.reciprocity too
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["reciprocity", "ranking_tie"]
+    with pytest.raises(TypeError):
+        Tolerances(antisymmetry=1e-9)
 
 
 def test_ranking_position_of_unknown_alternative():
@@ -333,15 +341,13 @@ def _first_violation_by_loops(values, scale, tol=Tolerances()):
                 if values[i, j] <= 0:
                     return NonPositiveEntryError, i + 1, j + 1
         for i in range(n):
-            if abs(values[i, i] - 1.0) > tol.reciprocity:
-                return ReciprocityViolationError, i + 1, i + 1
-            for j in range(i + 1, n):
+            for j in range(i, n):
                 if abs(values[i, j] * values[j, i] - 1.0) > tol.reciprocity:
                     return ReciprocityViolationError, i + 1, j + 1
         return None
     for i in range(n):
         for j in range(i, n):
-            if abs(values[i, j] + values[j, i]) > tol.antisymmetry:
+            if abs(values[i, j] + values[j, i]) > tol.reciprocity:
                 return AntisymmetryViolationError, i + 1, j + 1
     return None
 

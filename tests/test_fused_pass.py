@@ -88,18 +88,30 @@ def test_inf_against_zero_is_non_finite(rng, n):
 
 
 @pytest.mark.parametrize("n", [2, 5, 300])
-def test_diagonal_residual_is_its_distance_from_one(rng, n):
-    # |m_kk - 1| = 0.6e-8 passes the 1e-8 tolerance, though |m_kk^2 - 1| would not
+def test_diagonal_residual_is_its_product_with_itself(rng, n):
+    # m_kk * m_kk is the diagonal's product, so |m_kk - 1| = 0.6e-8 fails the 1e-8 tolerance,
+    # as its log fails the additive check with 2|a_kk| = 1.2e-8
     m = np.exp(random_antisymmetric(rng, n, scale=2.0))
     k = n // 2
-    m[k, k] = 1.0 + 0.6e-8
+    m[k, k] = 1.0 + 0.4e-8
     for layout in (m, np.asfortranarray(m)):
         validate_multiplicative(layout)
-    m[k, k] = 1.0 + 2e-8
+    validate_additive(np.log(m))
+    m[k, k] = 1.0 + 0.6e-8
+    location = (k + 1, k + 1)
     for layout in (m, np.asfortranarray(m)):
         with pytest.raises(ReciprocityViolationError) as exc:
             validate_multiplicative(layout)
-        assert (exc.value.i, exc.value.j, exc.value.residual) == (k + 1, k + 1, m[k, k] - 1.0)
+        assert (exc.value.i, exc.value.j, exc.value.residual) == (*location, m[k, k] ** 2 - 1.0)
+    _raises_without_warning(validate_additive, np.log(m), AntisymmetryViolationError, location)
+
+
+def test_a_diagonal_violation_reports_the_residual_its_message_names():
+    # |m_11 - 1| is 2e-8; the message names |m_ij*m_ji - 1|, which is m_11^2 - 1 = 4e-8
+    with pytest.raises(ReciprocityViolationError) as exc:
+        validate_multiplicative([[1.00000002, 2.0], [0.5, 1.0]])
+    assert str(exc.value) == ("entries (1,1) and (1,1) violate reciprocity: "
+                              "|m_ij*m_ji - 1| = 4.000e-08")
 
 
 @pytest.mark.parametrize("n", [2, 5, 300])

@@ -35,6 +35,7 @@ from refdata import (
     family_matrix,
     random_antisymmetric,
 )
+from reference import tie_normal_matrix
 
 
 class TestAbsDifference:
@@ -200,6 +201,25 @@ class TestAlmostOptimalFamily:
         for delta in (1e-2, 1e-4, 1e-8):
             tip = tip_pair(result, winner=2, delta=delta)
             assert tip.total_distance - result.distance <= delta * np.sqrt(2) + 1e-12
+
+    def test_the_tip_misses_the_best_reversal_by_2_delta_squared_n_minus_2_over_n(self, rng):
+        # the nearest matrix whose pair gap is the tip's, g = +-2 delta, is A - ((f - g)/n) N,
+        # with N the tie normal matrix, |N|^2 = n; the tip's squared distance exceeds its by
+        # exactly 2 delta^2 (n - 2)/n, so at n = 2 the tip is that optimum
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            pair = AlternativePair(*sorted(int(k) for k in rng.choice(n, 2, replace=False) + 1), n)
+            a = random_antisymmetric(rng, n, scale=1.0)
+            delta = float(rng.choice([1e-3, 0.1, 0.5]))
+            winner = int(rng.choice([pair.i, pair.j]))
+            tip = tip_pair(project_to_tie(a, pair), winner, delta)
+            f = a[pair.i - 1].sum() - a[pair.j - 1].sum()
+            g = 2 * delta if winner == pair.i else -2 * delta
+            best = a - (f - g) / n * tie_normal_matrix(pair)
+            assert best[pair.i - 1].sum() - best[pair.j - 1].sum() == pytest.approx(g, abs=1e-12)
+            total = tip.total_distance ** 2
+            excess = total - np.sum((a - best) ** 2)
+            assert excess == pytest.approx(2 * delta ** 2 * (n - 2) / n, abs=1e-12 * total)
 
 
 class TestScanAllPairs:

@@ -1,10 +1,10 @@
 """validate_multiplicative accepts from the range of m_ij * m_ji and must
 decide every matrix as the residual rule it replaced.
 
-The reference below is that rule: the residual |m_ij * m_ji - 1| with
-|m_ii - 1| on the diagonal, and the three ordered scans (non-finite, then
-non-positive, then reciprocity on the upper triangle), each reporting its
-first entry in row-major order.  A matrix passes when no scan fires.  The
+The reference below is that rule: the residual |m_ij * m_ji - 1| on every
+entry, the diagonal's |m_ii^2 - 1| included, and the three ordered scans
+(non-finite, then non-positive, then reciprocity on the upper triangle),
+each reporting its first entry in row-major order.  A matrix passes when no scan fires.  The
 validator must reach the same outcome, the same error type and message,
 and the same reported value, without a warning."""
 
@@ -30,7 +30,6 @@ def reference_outcome(matrix, tol):
     values = np.array(matrix, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(values * values.T - 1.0)
-        np.fill_diagonal(residual, np.abs(np.diag(values) - 1.0))
         scans = [
             (~np.isfinite(values), NonFiniteEntryError, values),
             (values <= 0, NonPositiveEntryError, values),

@@ -37,7 +37,7 @@ RECORDS = {
     "AdditivePcm": lambda: AdditivePcm(EXAMPLE_A.copy()),
     "MultiplicativePcm": lambda: to_multiplicative(EXAMPLE_A),
     "AlternativePair": lambda: EXAMPLE_PAIR,
-    "Tolerances": lambda: Tolerances(1e-3, 1e-4, 1e-5),
+    "Tolerances": lambda: Tolerances(1e-3, 1e-5),
     "Ranking": lambda: ranking_of([1.0, 2.0, 1.0]),
     "ProjectionResult": _projection,
     "TipResult": _tip,

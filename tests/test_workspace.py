@@ -75,7 +75,6 @@ def ref_validate_multiplicative(matrix):
     values = np.array(matrix, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(values * values.T - 1.0)
-        np.fill_diagonal(residual, np.abs(np.diag(values) - 1.0))
         scans = [
             (~np.isfinite(values), NonFiniteEntryError, values),
             (values <= 0, NonPositiveEntryError, values),
@@ -93,7 +92,7 @@ def ref_validate_additive(matrix):
         residual = np.abs(values + values.T)
         scans = [
             (~np.isfinite(values), NonFiniteEntryError, values),
-            (np.triu(residual > TOL.antisymmetry), AntisymmetryViolationError, residual),
+            (np.triu(residual > TOL.reciprocity), AntisymmetryViolationError, residual),
         ]
         for mask, error, source in scans:
             if (err := _first(mask, error, source)) is not None:
