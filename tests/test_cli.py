@@ -419,10 +419,12 @@ class TestArgumentValues:
         assert (code, out) == (EXIT_USAGE, "")
         assert capsys.readouterr().err.startswith("argument error: tolerance")
 
-    def test_the_removed_antisymmetry_flag_is_4(self, example_csv, capsys):
-        # --tol-reciprocity bounds |a_ij + a_ji| as it bounds |m_ij*m_ji - 1|
+    @pytest.mark.parametrize("value", ["1e-9", "nan", "inf", "0", "-1"])
+    def test_the_removed_antisymmetry_flag_is_4(self, example_csv, value, capsys):
+        # --tol-reciprocity bounds |a_ij + a_ji| as it bounds |m_ij*m_ji - 1|; the old flag is
+        # refused by name whatever its value, not read as a tolerance
         code, out = run(["validate", example_csv, "--scale", "additive",
-                         "--tol-antisymmetry", "1e-9"])
+                         "--tol-antisymmetry", value])
         assert (code, out) == (EXIT_USAGE, "")
         assert "--tol-antisymmetry" in capsys.readouterr().err
 

@@ -56,21 +56,33 @@ def _decidable(s, t, base) -> bool:
             and min(abs(additive - t), abs(multiplicative - t)) > slack)
 
 
-def _planted(s, base):
-    """(location, additive matrix, multiplicative matrix): base and np.exp(base), each with
-    the residual s planted at one diagonal or one off-diagonal entry."""
+LOCATIONS = ["diagonal", "off the diagonal"]
+# source scale: its validator, the image of its matrix in the other scale, the conversion
+# that the CLI's convert takes, and the other scale's validator
+DIRECTIONS = {
+    "multiplicative": (validate_multiplicative, np.log, to_additive, validate_additive),
+    "additive": (validate_additive, np.exp, to_multiplicative, validate_multiplicative),
+}
+
+
+def _planted(s, base, location):
+    """{scale: matrix}: base and np.exp(base), each with the residual s planted at one
+    diagonal or one off-diagonal entry."""
     n = len(base)
-    for location, (i, j) in (("diagonal", (n // 2, n // 2)), ("off the diagonal", (n - 1, 0))):
-        a, m = base.copy(), np.exp(base)
-        if i == j:
-            a[i, i], m[i, i] = s / 2, np.exp(s / 2)
-        else:
-            a[i, j], m[i, j] = s - a[j, i], np.exp(s) / m[j, i]
-        yield location, a, m
+    i, j = (n // 2, n // 2) if location == "diagonal" else (n - 1, 0)
+    a, m = base.copy(), np.exp(base)
+    if i == j:
+        a[i, i], m[i, i] = s / 2, np.exp(s / 2)
+    else:
+        a[i, j], m[i, j] = s - a[j, i], np.exp(s) / m[j, i]
+    return {"additive": a, "multiplicative": m}
 
 
+@pytest.mark.parametrize("location", LOCATIONS)
+@pytest.mark.parametrize("source", DIRECTIONS)
 @pytest.mark.parametrize("t", TOLERANCES)
-def test_a_planted_residual_gets_one_decision_in_both_scales(rng, t):
+def test_a_planted_residual_gets_one_decision_in_both_scales(rng, t, source, location):
+    validate_source, image, convert, validate_target = DIRECTIONS[source]
     tol = Tolerances(reciprocity=t)
     seen = set()
     for n in (2, 5, 12):
@@ -79,16 +91,10 @@ def test_a_planted_residual_gets_one_decision_in_both_scales(rng, t):
                 if not _decidable(s, t, base):
                     continue
                 passes = abs(s) <= t
-                for location, a, m in _planted(s, base):
-                    where = (location, n, s)
-                    assert _accepts(validate_multiplicative, m, tol) is passes, where
-                    assert _accepts(validate_additive, np.log(m), tol) is passes, where
-                    assert _accepts(validate_additive, a, tol) is passes, where
-                    assert _accepts(validate_multiplicative, np.exp(a), tol) is passes, where
-                    if passes:  # the round trips that the CLI's convert takes, each way
-                        m_to_a = to_additive(validate_multiplicative(m, tol))
-                        validate_additive(m_to_a.values, tol)
-                        a_to_m = to_multiplicative(validate_additive(a, tol))
-                        validate_multiplicative(a_to_m.values, tol)
-                    seen.add((location, passes))
-    assert len(seen) == 4
+                matrix = _planted(s, base, location)[source]
+                assert _accepts(validate_source, matrix, tol) is passes, (n, s)
+                assert _accepts(validate_target, image(matrix), tol) is passes, (n, s)
+                if passes:
+                    validate_target(convert(validate_source(matrix, tol)).values, tol)
+                seen.add(passes)
+    assert seen == {True, False}
