@@ -205,21 +205,19 @@ class Ranking:
         return "(" + ", ".join(parts) + ")"
 
 
-def _raise_first(mask: np.ndarray, error, values: np.ndarray, upper: bool = False) -> None:
-    """Raise error at the first True entry of mask in row-major order,
-    searching only the upper triangle when upper is set (for a symmetric
-    mask).  The check for no entry at all comes first: it is the cheap
-    common case."""
+def _raise_first(mask: np.ndarray, error, values: np.ndarray) -> None:
+    """Raise error(*index, value) at mask's first True entry in C order, index 1-based.  A
+    pairing residual is exactly symmetric (IEEE * and + commute): its first True is upper."""
     if mask.any():
-        i, j = np.argwhere(np.triu(mask) if upper else mask)[0]
-        raise error(int(i) + 1, int(j) + 1, values[i, j])
+        index = np.unravel_index(np.argmax(mask), mask.shape)
+        raise error(*(int(k) + 1 for k in index), values[index])
 
 
 def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> MultiplicativePcm:
     """A MultiplicativePcm as it is; anything else checked for finiteness, positivity and
     reciprocity, never mutated.  A matrix is accepted from the range of m_ij * m_ji: positive
     entries whose products, the diagonal's m_ii^2 included, all lie within tol.reciprocity of 1
-    pass.  Only a rejected one is scanned row by row, property by property, on that residual
+    pass.  Only a rejected one is searched once, property by property, on that residual
     |m_ij * m_ji - 1|, to name the first violation."""
     return matrix if isinstance(matrix, MultiplicativePcm) else _check_multiplicative(matrix, tol)
 
@@ -235,14 +233,14 @@ def _check_multiplicative(matrix, tol: Tolerances) -> MultiplicativePcm:
         residual = np.abs(np.subtract(products, 1.0, out=products), out=products)
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
         _raise_first(values <= 0, NonPositiveEntryError, values)
-        _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual, upper=True)
+        _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual)
     return MultiplicativePcm(values)
 
 
 def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditivePcm:
     """An AdditivePcm as it is; else checked for finiteness and |a_ij + a_ji| <= tol.reciprocity
-    (the image of reciprocity; it covers the zero diagonal) in one fused pass, scanning row by row
-    only to name the first violation; then that the row sums and their gaps are finite."""
+    (the image of reciprocity; it covers the zero diagonal) in one fused pass, a rejected matrix
+    searched once to name the first violation; then that the row sums and their gaps are finite."""
     return matrix if isinstance(matrix, AdditivePcm) else _check_additive(matrix, tol)
 
 
@@ -253,7 +251,7 @@ def _check_additive(matrix, tol: Tolerances) -> AdditivePcm:
     np.abs(residual, out=residual)
     if not np.maximum.reduce(residual, axis=None) <= tol.reciprocity:  # NaN and inf fail too
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
-        _raise_first(residual > tol.reciprocity, AntisymmetryViolationError, residual, upper=True)
+        _raise_first(residual > tol.reciprocity, AntisymmetryViolationError, residual)
     sums = _row_sums(values)
     if not np.maximum.reduce(sums) - np.minimum.reduce(sums) < np.inf:  # also true for NaN
         i = np.argmax(np.abs(sums))
@@ -296,9 +294,7 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
 def normalize_weights(w) -> np.ndarray:
     """Scale a positive, finite weight vector to sum to one."""
     w = _as_floats(w, vector=True)
-    bad = np.flatnonzero(~((0 < w) & (w < np.inf)))  # NaN fails both
-    if bad.size:
-        raise NonPositiveWeightError(int(bad[0]) + 1, w[bad[0]])
+    _raise_first(~((0 < w) & (w < np.inf)), NonPositiveWeightError, w)  # NaN fails both
     if (total := w.sum()) == np.inf:  # as overflow_safe does: redo it scaled by a power of 2
         w = np.ldexp(w, -np.frexp(w.max())[1])
         total = w.sum()

@@ -200,7 +200,7 @@ def verify_manipulation(
     tie = _tolerances(tol).ranking_tie
     messages = []
 
-    gap = float(weights_tip[w] - weights_tip[l])
+    gap = float(weights_tip[w]) - float(weights_tip[l])
     winner_leads = gap > tie
     if not winner_leads:
         messages.append(
@@ -208,14 +208,14 @@ def verify_manipulation(
             f"(weight gap {gap:.3e})"
         )
 
-    moved = np.abs(weights_tip - weights_orig)
+    moved = np.abs(np.subtract(weights_tip, weights_orig, out=weights_tip), out=weights_tip)
     moved[w] = moved[l] = 0.0
     drift = float(np.maximum.reduce(moved))
     others_preserved = drift <= tie
     if not others_preserved:
         messages.append(f"non-pair weight changed by {drift:.3e}")
 
-    already_winning = float(weights_orig[w] - weights_orig[l]) > tie
+    already_winning = float(weights_orig[w]) - float(weights_orig[l]) > tie
     if already_winning:
         messages.append("original ranking already had the winner ahead")
 

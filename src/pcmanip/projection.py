@@ -109,8 +109,10 @@ def _tie_projection(values: np.ndarray, pair: AlternativePair, f: float) -> np.n
     i, j, c = pair.i - 1, pair.j - 1, f / pair.n
     zero, half = c * 0.0, c * 0.5
     out = values - zero  # as N's zeros do: -0.0 turns to +0.0 when c < 0
-    out[i], out[j] = values[i] - half, values[j] + half
-    out[:, i], out[:, j] = values[:, i] + half, values[:, j] - half
+    np.subtract(values[i], half, out=out[i])  # in place: no row or column temporaries
+    np.add(values[j], half, out=out[j])
+    np.add(values[:, i], half, out=out[:, i])
+    np.subtract(values[:, j], half, out=out[:, j])
     out[i, j], out[j, i] = values[i, j] - c, values[j, i] + c
     out[i, i], out[j, j] = values[i, i] - zero, values[j, j] - zero
     return out

@@ -207,17 +207,33 @@ class TestWeights:
         assert np.isclose(normalize_weights(w).sum(), 1.0)
 
     def test_normalize_keeps_its_bits_when_the_sum_fits(self, rng):
-        for w in [rng.random(7) + 0.1, rng.random(300) * 1e305, np.array([1e308, 7e307])]:
+        for w in [rng.random(7) + 0.1, rng.random(300) * 1e305, np.array([1e308, 7e307]),
+                  np.array([])]:
             assert normalize_weights(w).tobytes() == (w / w.sum()).tobytes()
+        assert normalize_weights([]).shape == (0,)
 
-    def test_normalize_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveWeightError):
-            normalize_weights([1, 0, 2])
-
-    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0]])
-    def test_normalize_rejects_non_finite(self, weights):
-        with pytest.raises(NonPositiveWeightError):
+    @staticmethod
+    def _rejected_at(weights, k):
+        """normalize_weights names weight k, 1-based, and its value to the bit."""
+        with pytest.raises(NonPositiveWeightError) as exc:
             normalize_weights(weights)
+        assert exc.value.k == k
+        assert np.float64(exc.value.value).tobytes() == np.float64(weights[k - 1]).tobytes()
+
+    @pytest.mark.parametrize("weights, k", [
+        ([1, 0, 2], 2), ([1, 0, -1, np.nan], 2), ([-1.0, np.inf, 0.0], 1),
+        ([-0.0, 1.0, 2.0], 1), ([1.0, -0.0, 2.0], 2), ([1.0, 2.0, -0.0], 3),
+    ])
+    def test_normalize_rejects_nonpositive(self, weights, k):
+        self._rejected_at(weights, k)
+
+    @pytest.mark.parametrize("weights, k", [
+        ([np.nan, 1.0], 1), ([np.inf, 1.0], 1),
+        ([1.0, np.inf, 2.0], 2), ([1.0, 2.0, np.inf], 3),
+        ([1.0, np.nan, 2.0], 2), ([1.0, 2.0, np.nan], 3), ([1.0, np.nan, -np.inf, 0.0], 2),
+    ])
+    def test_normalize_rejects_non_finite(self, weights, k):
+        self._rejected_at(weights, k)
 
 
 class TestRanking:

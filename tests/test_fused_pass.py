@@ -47,15 +47,21 @@ def _one_based(k, n):
     return k if k > 0 else n + 1 + k
 
 
-# Two or more faults each, the kind reported second placed in the earlier
-# row: (scale, [(row, column, value), ...], error, its location), all
-# indices 1-based and negative ones counted from the end.
+# Faults that a search in the wrong order or triangle would misplace, most
+# with the kind reported second in the earlier row; a pairing fault planted
+# below the diagonal is named by its upper mirror: (scale, [(row, column,
+# value), ...], error, its location), all indices 1-based and negative ones
+# counted from the end.
 ORDER_CASES = [
     ("multiplicative", [(1, 2, -1.0), (-1, -2, np.nan)], NonFiniteEntryError, (-1, -2)),
     ("multiplicative", [(1, 2, 0.0), (-1, -2, np.inf)], NonFiniteEntryError, (-1, -2)),
     ("multiplicative", [(1, 2, 3.0), (-1, -2, -2.0)], NonPositiveEntryError, (-1, -2)),
     ("multiplicative", [(1, 2, 3.0), (-1, -2, -np.inf)], NonFiniteEntryError, (-1, -2)),
     ("multiplicative", [(-1, 1, np.nan), (2, -1, np.nan)], NonFiniteEntryError, (2, -1)),
+    ("multiplicative", [(-1, 1, 3.0)], ReciprocityViolationError, (1, -1)),
+    ("multiplicative", [(3, 2, 3.0), (4, 4, 1.5)], ReciprocityViolationError, (2, 3)),
+    ("multiplicative", [(-1, 2, 3.0), (3, 3, 1.5)], ReciprocityViolationError, (2, -1)),
+    ("multiplicative", [(-1, 3, 3.0), (2, 2, 1.5)], ReciprocityViolationError, (2, 2)),
     ("additive", [(1, 2, 5.0), (-1, -2, np.nan)], NonFiniteEntryError, (-1, -2)),
     ("additive", [(1, 2, 5.0), (-1, -2, -np.inf)], NonFiniteEntryError, (-1, -2)),
     ("additive", [(-1, 1, 5.0), (2, 2, 1e-3)], AntisymmetryViolationError, (1, -1)),

@@ -1,12 +1,7 @@
 """validate_multiplicative accepts from the range of m_ij * m_ji and must
-decide every matrix as the residual rule it replaced.
-
-The reference below is that rule: the residual |m_ij * m_ji - 1| on every
-entry, the diagonal's |m_ii^2 - 1| included, and the three ordered scans
-(non-finite, then non-positive, then reciprocity on the upper triangle),
-each reporting its first entry in row-major order.  A matrix passes when no scan fires.  The
-validator must reach the same outcome, the same error type and message,
-and the same reported value, without a warning."""
+decide every matrix as the residual rule it replaced, ``oracle.multiplicative_outcome``
+(residuals on every entry, the diagonal's |m_ii^2 - 1| included): the same outcome,
+error type and message, and reported value, without a warning."""
 
 import warnings
 
@@ -20,26 +15,11 @@ from pcmanip.errors import (
     ReciprocityViolationError,
 )
 
+from oracle import multiplicative_outcome as reference_outcome
 from refdata import random_antisymmetric
 
 TOLERANCES = [1e-15, 1e-8, 1e-3, 0.5, 5.0]
 FACTORS = [0.49, 0.5, 0.51, 0.99, 1.0, 1.01, 2.0]
-
-
-def reference_outcome(matrix, tol):
-    values = np.array(matrix, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(values * values.T - 1.0)
-        scans = [
-            (~np.isfinite(values), NonFiniteEntryError, values),
-            (values <= 0, NonPositiveEntryError, values),
-            (np.triu(residual > tol.reciprocity), ReciprocityViolationError, residual),
-        ]
-    for mask, error, source in scans:
-        if mask.any():
-            i, j = np.argwhere(mask)[0]
-            return error(int(i) + 1, int(j) + 1, source[i, j])
-    return None
 
 
 def outcome(matrix, tol):
@@ -53,7 +33,7 @@ def outcome(matrix, tol):
 
 
 def _key(result):
-    if result is None:
+    if not isinstance(result, Exception):  # accepted
         return None
     value = result.value if hasattr(result, "value") else result.residual
     return type(result), str(result), result.i, result.j, np.float64(value).tobytes()

@@ -48,6 +48,8 @@ from pcmanip.errors import (
     RowSumOverflowError,
 )
 
+from oracle import additive_outcome as ref_validate_additive, first_violation
+from oracle import multiplicative_outcome as ref_validate_multiplicative
 from refdata import random_antisymmetric
 
 SIZES = [127, 128, 300]
@@ -64,49 +66,8 @@ PAIR_LAYOUTS = {
 
 # --- the allocating formulas the workspace replaced -------------------------
 
-def _first(mask, error, source):
-    if mask.any():
-        i, j = np.argwhere(mask)[0]
-        return error(int(i) + 1, int(j) + 1, source[i, j])
-    return None
-
-
-def ref_validate_multiplicative(matrix):
-    values = np.array(matrix, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(values * values.T - 1.0)
-        scans = [
-            (~np.isfinite(values), NonFiniteEntryError, values),
-            (values <= 0, NonPositiveEntryError, values),
-            (np.triu(residual > TOL.reciprocity), ReciprocityViolationError, residual),
-        ]
-    for mask, error, source in scans:
-        if (err := _first(mask, error, source)) is not None:
-            return err
-    return values
-
-
-def ref_validate_additive(matrix):
-    values = np.array(matrix, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(values + values.T)
-        scans = [
-            (~np.isfinite(values), NonFiniteEntryError, values),
-            (np.triu(residual > TOL.reciprocity), AntisymmetryViolationError, residual),
-        ]
-        for mask, error, source in scans:
-            if (err := _first(mask, error, source)) is not None:
-                return err
-        sums = values.sum(axis=1)
-        if not sums.max() - sums.min() < np.inf:
-            i = np.argmax(np.abs(sums))
-            j = np.argmax(np.abs(values[i]))
-            return RowSumOverflowError(int(i) + 1, int(j) + 1, values[i, j])
-    return values
-
-
 def ref_to_multiplicative(values):
-    err = _first(np.abs(values) >= core._MAX_EXP, OverflowDomainError, values)
+    err = first_violation(np.abs(values) >= core._MAX_EXP, OverflowDomainError, values)
     return err if err is not None else np.exp(values)
 
 
