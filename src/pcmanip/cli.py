@@ -133,9 +133,11 @@ def _parse_csv(text: str, default_scale: str, expect_names: bool) -> MatrixFile:
     for lineno, line in lines:
         cells = line.split(",")
         row = []
+        # float() reads "1_5" as 15: a CSV number holds no underscore, tested once a line
+        read = float if "_" not in line else lambda cell: float("" if "_" in cell else cell)
         for colno, cell in enumerate(cells, start=1):
             try:
-                row.append(float(cell))
+                row.append(read(cell))
             except ValueError as exc:
                 raise CliParseError(
                     f'not a number: "{cell.strip()}"', line=lineno, column=colno

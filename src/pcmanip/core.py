@@ -44,18 +44,17 @@ _WORKSPACE_MAX = 1 << 20  # entries: 8 MiB, the most a thread keeps (n <= 1024)
 _workspace_local = threading.local()
 
 
-def _workspace(*xs: np.ndarray) -> np.ndarray | None:
-    """out= for an n x n ufunc temporary; the floor, cap and dtype rules live here alone.
-    None, so the ufunc allocates, below _WORKSPACE_MIN entries, over _WORKSPACE_MAX, or unless
-    every operand xs is float64; else a C-ordered view of the thread's buffer (grown, kept until
-    the thread ends), as every reduction reads C order whatever the operands' layout."""
-    size = xs[0].size  # alone before the floor test: most calls end there
-    if not _WORKSPACE_MIN <= size <= _WORKSPACE_MAX or not all(x.dtype == np.float64 for x in xs):
+def _workspace(x: np.ndarray) -> np.ndarray | None:
+    """out= for an n x n ufunc temporary shaped as x, of float64 operands (_as_floats gives
+    float64, and a PCM holds its validator's copy); the floor and cap rules live here alone.
+    None, so the ufunc allocates, below _WORKSPACE_MIN entries or over _WORKSPACE_MAX; else
+    a C-ordered view, as reductions read, of the thread's buffer (grown, kept until it ends)."""
+    if not _WORKSPACE_MIN <= x.size <= _WORKSPACE_MAX:
         return None
     buffer = getattr(_workspace_local, "buffer", None)
-    if buffer is None or buffer.size < size:
-        buffer = _workspace_local.buffer = np.empty(size)
-    return buffer[:size].reshape(xs[0].shape)
+    if buffer is None or buffer.size < x.size:
+        buffer = _workspace_local.buffer = np.empty(x.size)
+    return buffer[:x.size].reshape(x.shape)
 
 
 def _positive_finite(value) -> bool:
@@ -131,11 +130,22 @@ def _as_square(matrix) -> np.ndarray:
     return _square(np.array(_as_floats(matrix), order="C"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _Pcm:
-    """A pairwise comparison matrix that passed its scale's validator."""
+    """A pairwise comparison matrix that passed its scale's validator, with read-only values;
+    constructing one runs that validator at the default Tolerances."""
 
     values: np.ndarray
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray):
+        """The door past the validator, for the array it or a conversion has just made."""
+        values.setflags(write=False)
+        object.__setattr__(pcm := object.__new__(cls), "values", values)
+        return pcm
+
+    def __reduce__(self):  # so copy, deepcopy and pickle give a read-only PCM too
+        return self._trusted, (self.values,)
 
     @property
     def n(self) -> int:
@@ -145,11 +155,13 @@ class _Pcm:
 class MultiplicativePcm(_Pcm):
     """A validated multiplicative pairwise comparison matrix."""
     _hint = "additive input needs to_additive first"
+    __new__ = lambda cls, values: validate_multiplicative(values)
 
 
 class AdditivePcm(_Pcm):
     """A validated additive (antisymmetric) pairwise comparison matrix."""
     _hint = "multiplicative input needs to_multiplicative first"
+    __new__ = lambda cls, values: validate_additive(values)
 
 
 def additive_values(a) -> np.ndarray:
@@ -225,7 +237,7 @@ def validate_multiplicative(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Mul
 @np.errstate(over="ignore", invalid="ignore")  # inf * 0 or an overflow fails acceptance
 def _check_multiplicative(matrix, tol: Tolerances) -> MultiplicativePcm:
     tol, values = _tolerances(tol), _as_square(matrix)
-    products = np.multiply(values, values.T, out=_workspace(values, values.T))
+    products = np.multiply(values, values.T, out=_workspace(values))
     # min and max propagate NaN, so a NaN or inf entry fails here too
     if not (np.minimum.reduce(values, axis=None) > 0
             and np.maximum.reduce(products, axis=None) - 1.0 <= tol.reciprocity
@@ -234,7 +246,7 @@ def _check_multiplicative(matrix, tol: Tolerances) -> MultiplicativePcm:
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
         _raise_first(values <= 0, NonPositiveEntryError, values)
         _raise_first(residual > tol.reciprocity, ReciprocityViolationError, residual)
-    return MultiplicativePcm(values)
+    return MultiplicativePcm._trusted(values)
 
 
 def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditivePcm:
@@ -247,7 +259,7 @@ def validate_additive(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> AdditiveP
 @np.errstate(over="ignore", invalid="ignore")  # non-finite results fail below
 def _check_additive(matrix, tol: Tolerances) -> AdditivePcm:
     tol, values = _tolerances(tol), _as_square(matrix)
-    residual = np.add(values, values.T, out=_workspace(values, values.T))
+    residual = np.add(values, values.T, out=_workspace(values))
     np.abs(residual, out=residual)
     if not np.maximum.reduce(residual, axis=None) <= tol.reciprocity:  # NaN and inf fail too
         _raise_first(~np.isfinite(values), NonFiniteEntryError, values)
@@ -257,20 +269,19 @@ def _check_additive(matrix, tol: Tolerances) -> AdditivePcm:
         i = np.argmax(np.abs(sums))
         j = np.argmax(np.abs(values[i]))
         raise RowSumOverflowError(int(i) + 1, int(j) + 1, values[i, j])
-    return AdditivePcm(values)
+    return AdditivePcm._trusted(values)
 
 
 def to_additive(m) -> AdditivePcm:
-    """Entry-wise natural logarithm of validate_multiplicative(m), read in C order."""
-    return AdditivePcm(np.log(np.ascontiguousarray(validate_multiplicative(m).values)))
+    """Entry-wise natural logarithm of validate_multiplicative(m)."""
+    return AdditivePcm._trusted(np.log(validate_multiplicative(m).values))
 
 
 def to_multiplicative(a) -> MultiplicativePcm:
-    """Entry-wise exponential of validate_additive(a), read in C order: numpy's log and exp of a
-    view reversed in both axes can differ from its C copy's in the last bit."""
-    values = np.ascontiguousarray(validate_additive(a).values)
+    """Entry-wise exponential of validate_additive(a)."""
+    values = validate_additive(a).values
     _raise_first(np.abs(values) >= _MAX_EXP, OverflowDomainError, values)
-    return MultiplicativePcm(np.exp(values))
+    return MultiplicativePcm._trusted(np.exp(values))
 
 
 def gmm_weights(m) -> np.ndarray:

@@ -53,7 +53,7 @@ def emi(a, b) -> float:
     va, vb = matched_values(a, b)
     m = max_changed_entries(_square(va).shape[0])
     return overflow_safe(lambda x, y: np.abs(
-        d := np.subtract(x, y, out=_workspace(x, y), order="C"), out=d).sum() / m, va, vb)
+        d := np.subtract(x, y, out=_workspace(x), order="C"), out=d).sum() / m, va, vb)
 
 
 class ManipulationReport(NamedTuple):
@@ -129,7 +129,7 @@ def tip_pair(projection: ProjectionResult, winner: int, delta: float = DEFAULT_D
     if not max(extra, abs(sum(tipped[w].tolist())), abs(sum(tipped[l].tolist()))) < math.inf:
         raise PcmError(f"delta = {delta} takes the tipped matrix beyond float64")
     # frobenius_distance, on arrays already read and matched
-    return TipResult(AdditivePcm(tipped), pair, w + 1, delta, extra,
+    return TipResult(AdditivePcm._trusted(tipped), pair, w + 1, delta, extra,
                      overflow_safe(_distance, projection.original.values, tipped))
 
 

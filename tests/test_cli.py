@@ -79,8 +79,9 @@ class TestParseMatrixFile:
 
     @pytest.mark.parametrize("text, location", [("1,2\n\nx,1\n", (3, 1)),
                                                 ("1,2\n\n3\n", (3, None)),
-                                                ("a,b\n\n0,1\n\n-1\n", (5, None))],
-                             ids=["number", "ragged", "ragged-after-names"])
+                                                ("a,b\n\n0,1\n\n-1\n", (5, None)),
+                                                ("1,2\n\n1_5,1\n", (3, 1))],
+                             ids=["number", "ragged", "ragged-after-names", "underscore"])
     def test_locations_count_blank_lines(self, tmp_path, text, location):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -92,6 +92,12 @@ class TestValidateAdditive:
         with pytest.raises(AntisymmetryViolationError):
             validate_additive(M([[0.1, 1], [-1, 0]]))
 
+    @pytest.mark.parametrize("make", [validate_additive, AdditivePcm])
+    def test_nan_is_rejected_by_the_validator_and_the_type(self, make):
+        with pytest.raises(NonFiniteEntryError) as exc:
+            make(M([[0, 1, np.nan], [5, 0, 2], [1, -2, 0]]))
+        assert (exc.value.i, exc.value.j) == (1, 3)
+
     @pytest.mark.parametrize("values, location", [
         ([[0, 1e308, 1e308], [-1e308, 0, 1e308], [-1e308, -1e308, 0]], (1, 2)),
         ([[0, 5e307, -5e307], [-5e307, 0, -1e308], [5e307, 1e308, 0]], (2, 3)),

@@ -120,8 +120,9 @@ def test_additive_weights_keep_the_bytes_of_the_row_means(rng):
 
 
 def test_an_additive_pcm_is_trusted_by_additive_weights():
-    # no shape check: the type says it passed validate_additive
-    assert additive_weights(AdditivePcm(np.array([[1.0, 2.0, 3.0]]))).tolist() == [2.0]
+    # a PCM's type says it passed validate_additive: one that is not square is never built
+    with pytest.raises(NotSquareError, match=re.escape("got shape (1, 3)")):
+        AdditivePcm(np.array([[1.0, 2.0, 3.0]]))
 
 
 @pytest.mark.parametrize("n", [2.5, "5", None, 5.0])

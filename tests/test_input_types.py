@@ -14,11 +14,14 @@ at least 2, so one table holds for each of those too.  A walk over the
 package's public signatures keeps the tol and size tables complete.
 
 The validators are the one door into a validated PCM: each returns its
-own type as it is, and every function that needs a valid matrix reads
-its input through one of them."""
+own type as it is, each PCM type's constructor is its scale's validator
+at the default Tolerances, every PCM the library returns is read-only,
+and every function that needs a valid matrix reads its input through
+one of them."""
 
 import inspect
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -65,6 +68,7 @@ from pcmanip.errors import NonPositiveDeltaError, PcmError
 
 from refdata import EXAMPLE_A
 from reference import frobenius_norm
+from strategies import layout_cases
 
 PAIR = AlternativePair(1, 2, 5)
 
@@ -138,20 +142,76 @@ pytestmark = pytest.mark.filterwarnings(
     "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 EXAMPLE_M = np.exp(EXAMPLE_A)
-UNCHECKED = np.arange(16.0).reshape(4, 4)  # neither validator would pass it
 
 
 @pytest.mark.parametrize("validator, pcm, body", [
-    (validate_additive, AdditivePcm(UNCHECKED), "_check_additive"),
-    (validate_multiplicative, MultiplicativePcm(UNCHECKED), "_check_multiplicative"),
+    (validate_additive, partial(AdditivePcm, EXAMPLE_A), "_check_additive"),
+    (validate_multiplicative, partial(MultiplicativePcm, EXAMPLE_M), "_check_multiplicative"),
 ])
 def test_a_validator_returns_its_own_type_without_checking_it(validator, pcm, body, monkeypatch):
+    pcm = pcm()  # built before the patch: its constructor runs the validator
+
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{body} ran for a {type(pcm).__name__}")
 
     monkeypatch.setattr(pcmanip.core, body, forbidden)
     assert validator(pcm) is pcm
     assert validator(pcm, Tolerances(1e-3, 1e-3)) is pcm
+
+
+def _pcm_or_error(make, x):
+    """What must match: the PCM's type, bytes and write flag, or the error's type, location
+    and message."""
+    try:
+        pcm = make(x)
+    except PcmError as err:
+        return type(err), err.i, err.j, str(err)
+    return type(pcm), pcm.values.dtype, pcm.values.tobytes(), pcm.values.flags.writeable
+
+
+# each scale's PCM type, its validator, and the map from an additive matrix into the scale
+SCALES = {"additive": (AdditivePcm, validate_additive, lambda a: a),
+          "multiplicative": (MultiplicativePcm, validate_multiplicative, np.exp)}
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@given(layout_cases(), st.sampled_from([None, np.nan, np.inf, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_a_pcm_type_is_its_validator(scale, case, fault):
+    """Every layout, and one entry (i, j) set to a fault; on the multiplicative scale, the
+    exp of a matrix whose entries reach 1e300 also holds inf, zero and reciprocal pairs."""
+    pcm_type, validator, into_scale = SCALES[scale]
+    a, pair, _ = case
+    if fault is not None:
+        a = a.copy()
+        a[pair.i - 1, pair.j - 1] = fault
+    with np.errstate(over="ignore"):
+        x = into_scale(a)
+    assert _pcm_or_error(pcm_type, x) == _pcm_or_error(validator, x)
+
+
+# every PCM the library returns, by the call that returns it
+RETURNED_PCMS = {
+    "AdditivePcm": lambda: AdditivePcm(EXAMPLE_A),
+    "MultiplicativePcm": lambda: MultiplicativePcm(EXAMPLE_M),
+    "validate_additive": lambda: validate_additive(EXAMPLE_A),
+    "validate_multiplicative": lambda: validate_multiplicative(EXAMPLE_M),
+    "to_additive": lambda: to_additive(EXAMPLE_M),
+    "to_multiplicative": lambda: to_multiplicative(EXAMPLE_A),
+    "project_to_tie original": lambda: project_to_tie(EXAMPLE_A, PAIR).original,
+    "project_to_tie projected": lambda: project_to_tie(EXAMPLE_A, PAIR).projected,
+    "pair_report original": lambda: pair_report(EXAMPLE_A, PAIR).original,
+    "pair_report projected": lambda: pair_report(EXAMPLE_A, PAIR).projected,
+    "tip_pair tipped": lambda: tip_pair(project_to_tie(EXAMPLE_A, PAIR), 1).tipped,
+    "hyperplane_oracle_project": lambda: hyperplane_oracle_project(EXAMPLE_A, PAIR),
+}
+
+
+@pytest.mark.parametrize("name", RETURNED_PCMS)
+def test_every_pcm_the_library_returns_is_read_only(name):
+    pcm = RETURNED_PCMS[name]()
+    with pytest.raises(ValueError, match="read-only"):
+        pcm.values[0, 1] = 7.0
 
 
 # each function that needs a valid matrix, the validator it reads its input through,
@@ -216,9 +276,10 @@ def test_an_invalid_array_raises_the_validators_error_at_its_location(name):
 @pytest.mark.parametrize("name", NEEDS_VALID)
 def test_the_other_pcm_type_is_told_which_conversion_to_use(name):
     call, validator, _, conversion = NEEDS_VALID[name]
-    other = MultiplicativePcm if validator == "validate_additive" else AdditivePcm
-    with pytest.raises(PcmError, match=f"got {other.__name__}: .*{conversion} first"):
-        call(other(EXAMPLE_A.copy()))
+    other = (to_multiplicative(EXAMPLE_A) if validator == "validate_additive"
+             else AdditivePcm(EXAMPLE_A))
+    with pytest.raises(PcmError, match=f"got {type(other).__name__}: .*{conversion} first"):
+        call(other)
 
 
 NOT_A_VECTOR = {

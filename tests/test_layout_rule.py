@@ -48,8 +48,8 @@ def _bits(value):
 
 def _outputs(a, b, s, m, pair, layout):
     """Every output read off a (additive), b (not antisymmetric), s (a scaled into [-1, 1])
-    and m = exp(s), each in one layout; a tip's total_distance from a record that holds its
-    arrays in layout."""
+    and m = exp(s), each in one layout; a tip's total_distance from a record whose PCMs are
+    built of its arrays in layout, so hold the validator's C-ordered copies."""
     winner = pair.j
     out = {
         "additive_weights": additive_weights(a),

@@ -352,7 +352,7 @@ def test_additive_pcm_is_trusted(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an AdditivePcm was validated again")
 
+    a = AdditivePcm(EXAMPLE_A)  # its constructor runs the validator, so it is built first
     monkeypatch.setattr(pcmanip.core, "_check_additive", forbidden)
-    a = AdditivePcm(EXAMPLE_A)
     assert project_to_tie(a, EXAMPLE_PAIR).distance == pytest.approx(15 / np.sqrt(5))
     assert len(scan_all_pairs(a).rows) == 10

@@ -53,7 +53,7 @@ def test_tip_distance_is_frobenius_distance(case, delta, fortran):
     a, _, pair, winner = case
     try:
         projection = project_to_tie(a, pair)
-        if fortran:  # project_to_tie keeps a C-ordered copy; a caller's record may hold F order
+        if fortran:  # a PCM built of F-ordered values holds its validator's C-ordered copy
             projection = projection._replace(original=_as_fortran(projection.original),
                                              projected=_as_fortran(projection.projected))
         tip = tip_pair(projection, winner, delta)

@@ -1,6 +1,7 @@
 """Every public record survives copy.copy, copy.deepcopy and a pickle round
-trip with its type and its bytes, and keeps a repr that names its type: the
-two PCMs, AlternativePair, Tolerances, Ranking and the result records."""
+trip with its type, its bytes and every PCM it holds read-only, and keeps a
+repr that names its type: the two PCMs, AlternativePair, Tolerances, Ranking
+and the result records."""
 
 import copy
 import pickle
@@ -61,6 +62,13 @@ def same(x, y) -> bool:
     return x == y
 
 
+def pcms(record) -> list:
+    """The PCMs a record is or holds, field by field."""
+    if isinstance(record, (AdditivePcm, MultiplicativePcm)):
+        return [record]
+    return [pcm for field in record for pcm in pcms(field)] if isinstance(record, tuple) else []
+
+
 COPIES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
@@ -73,7 +81,9 @@ COPIES = {
 def test_a_record_survives_a_copy(name, how):
     record = RECORDS[name]()
     assert type(record).__name__ == name
-    assert same(COPIES[how](record), record)
+    copied = COPIES[how](record)
+    assert same(copied, record)
+    assert not any(pcm.values.flags.writeable for pcm in pcms(copied))
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -83,7 +93,7 @@ def test_a_record_repr_names_its_type(name):
 
 def test_same_tells_pcm_bytes_apart():
     a = AdditivePcm(EXAMPLE_A.copy())
-    b = AdditivePcm(EXAMPLE_A.copy())
-    b.values[0, 0] = -0.0
-    assert same(a, AdditivePcm(EXAMPLE_A.copy())) and not same(a, b)
-    assert not same(a, MultiplicativePcm(EXAMPLE_A.copy()))
+    edited = EXAMPLE_A.copy()
+    edited[0, 0] = -0.0
+    assert same(a, AdditivePcm(EXAMPLE_A.copy())) and not same(a, AdditivePcm(edited))
+    assert not same(a, to_multiplicative(EXAMPLE_A))

@@ -205,14 +205,16 @@ def test_to_multiplicative_matches_allocating_formula(n, rng):
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("n", SIZES)
 def test_gmm_weights_matches_allocating_formula(n, order, rng):
-    """The validator's copy is C-ordered; a hand-built PCM of F-ordered, strided or
-    float32 values gives the bytes of its C-ordered copy."""
+    """The validator's copy is C-ordered; a PCM built of F-ordered values gives the bytes of
+    its C-ordered copy.  A row-reversed or float32 copy is no valid PCM: as a raw array it
+    gets the validator's error."""
     m = validate_multiplicative(ORDERS[order](_multiplicative(rng, n)))
-    for values in (m.values, np.asfortranarray(m.values), m.values[::-1],
-                   m.values.astype(np.float32)):
+    for values in (m.values, np.asfortranarray(m.values)):
         got = gmm_weights(pcmanip.MultiplicativePcm(values))
         assert _key(got) == _key(ref_gmm_weights(values))
         assert_no_alias(got)
+    for values in (m.values[::-1], m.values.astype(np.float32)):
+        assert _key(_outcome(gmm_weights, values)) == _key(ref_validate_multiplicative(values))
 
 
 GMM_LAYOUTS = {"C": lambda v: v, "F": np.asfortranarray, "reversed": lambda v: v[::-1, ::-1]}
